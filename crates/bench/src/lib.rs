@@ -3,8 +3,10 @@
 //! Experiment harness regenerating the evaluation of Section 13 of the
 //! paper: every figure and table is a function over (dataset, workload
 //! parameters, methods) that produces the same series the paper plots. The
-//! `figures` binary prints them as text tables; `EXPERIMENTS.md` records the
-//! measured numbers next to the paper's qualitative claims.
+//! `figures` binary prints them as text tables
+//! (`cargo run --release -p mahif-bench --bin figures`). The repository's
+//! recorded performance numbers — five named workloads end to end and per
+//! layer — live in `trajectory/README.md`.
 //!
 //! Sizes are scaled down from the paper's 5M–50M rows to laptop-scale
 //! defaults (see [`ExperimentConfig`]); the *shapes* (which method wins, how

@@ -20,13 +20,17 @@ use std::time::Instant;
 use mahif_expr::builder::{conjunction, disjunction};
 use mahif_expr::{simplify, substitute_attrs, Expr, SubstMap};
 use mahif_history::{History, Statement};
-use mahif_solver::{SatProblem, SatResult, SearchConfig, Solver};
+use mahif_solver::{dependency_cone, SatProblem, SatResult, SearchConfig, Solver};
 use mahif_storage::Database;
 use mahif_symbolic::{compress_relation, initial_var_name, CompressionConfig};
 
 use crate::domains::domains_for_relation;
 use crate::error::SlicingError;
-use crate::program::ProgramSliceResult;
+use crate::multi::{build_relation_context, RelationContext};
+use crate::program::{
+    model_satisfies, problem_with_definitions, witness_satisfies, ProgramSliceResult,
+    ProgramSlicingConfig,
+};
 
 /// Configuration of greedy slicing.
 #[derive(Debug, Clone, Default)]
@@ -219,6 +223,16 @@ pub fn greedy_slice(
         .chain(modified.statements())
         .any(|s| matches!(s, Statement::InsertQuery { .. }));
 
+    // Domains, Φ_D and witness samples depend on the relation only, so they
+    // are built once per relation, as the dependency test builds them.
+    let context_config = ProgramSlicingConfig {
+        compression: config.compression.clone(),
+        solver: config.solver.clone(),
+        skip_compression_constraint: false,
+    };
+    let mut contexts: BTreeMap<String, RelationContext> = BTreeMap::new();
+    let all: BTreeSet<usize> = (0..n).collect();
+
     for i in 0..n {
         if modified_set.contains(&i) {
             continue;
@@ -243,20 +257,17 @@ pub fn greedy_slice(
         let mut candidate = kept.clone();
         candidate.remove(&i);
 
-        let rel = database.relation(&relation)?;
-        let attributes = rel.schema.attribute_names();
-        let all: BTreeSet<usize> = (0..n).collect();
-        let phi_d = compress_relation(rel, &config.compression);
+        if !contexts.contains_key(&relation) {
+            let context = build_relation_context(database, &relation, &context_config)?;
+            contexts.insert(relation.clone(), context);
+        }
+        let ctx = &contexts[&relation];
+        let attributes = database.relation(&relation)?.schema.attribute_names();
 
         let full_h = run_symbolically(original, &relation, &all, &attributes, "_fh");
         let full_m = run_symbolically(modified, &relation, &all, &attributes, "_fm");
         let slice_h = run_symbolically(original, &relation, &candidate, &attributes, "_sh");
         let slice_m = run_symbolically(modified, &relation, &candidate, &attributes, "_sm");
-        let definitions: Vec<(String, Expr)> = [&full_h, &full_m, &slice_h, &slice_m]
-            .iter()
-            .flat_map(|run| run.definitions.iter().cloned())
-            .collect();
-        let domains = domains_for_relation(rel, initial_var_name)?;
 
         // ¬ζ without Φ_D: a satisfying tuple shows the candidate is not a
         // slice (provided it also lies in a world of Φ_D); unsatisfiability
@@ -270,27 +281,25 @@ pub fn greedy_slice(
             &attributes,
             &Expr::true_(),
         );
+        let definitions: Vec<(String, Expr)> = [full_h, full_m, slice_h, slice_m]
+            .into_iter()
+            .flat_map(|run| run.definitions)
+            .collect();
+        let (cone, _) = dependency_cone(&core, &definitions);
 
         // Stage 1: concrete witnesses from the relation (each is a world of
         // Φ_D by construction).
-        let stride = (rel.len() / 64).max(1);
-        let breaks_slice = rel.iter().step_by(stride).take(64).any(|t| {
-            let mut b = mahif_expr::MapBindings::new();
-            for (idx, a) in rel.schema.attributes.iter().enumerate() {
-                if let Some(v) = t.value(idx) {
-                    b.set_var(initial_var_name(&a.name), v.clone());
-                }
-            }
-            crate::program::witness_satisfies(&core, &definitions, &b)
-        });
-        if breaks_slice {
+        if ctx
+            .witnesses
+            .iter()
+            .any(|w| witness_satisfies(&core, &cone, w))
+        {
             continue; // keep statement i
         }
 
         // Stage 2: decide ¬ζ without Φ_D.
         solver_calls += 1;
-        let core_problem =
-            crate::program::problem_with_definitions(domains.clone(), core.clone(), &definitions);
+        let core_problem = problem_with_definitions(ctx.domains.clone(), core.clone(), &cone);
         match solver.check(&core_problem) {
             SatResult::Unsat => {
                 kept.remove(&i);
@@ -298,7 +307,7 @@ pub fn greedy_slice(
                 continue;
             }
             SatResult::Sat(ref model) => {
-                if crate::program::model_satisfies(&phi_d, model) {
+                if model_satisfies(&ctx.phi_d, model) {
                     continue; // keep statement i
                 }
             }
@@ -310,8 +319,8 @@ pub fn greedy_slice(
 
         // Stage 3: full ¬ζ ∧ Φ_D (reached only when the core was satisfiable
         // outside the compressed database).
-        let condition = simplify(&Expr::And(Arc::new(phi_d.clone()), Arc::new(core)));
-        let problem = crate::program::problem_with_definitions(domains, condition, &definitions);
+        let condition = simplify(&Expr::And(Arc::new(ctx.phi_d.clone()), Arc::new(core)));
+        let problem = problem_with_definitions(ctx.domains.clone(), condition, &cone);
         solver_calls += 1;
         if let SatResult::Unsat = solver.check(&problem) {
             kept.remove(&i);

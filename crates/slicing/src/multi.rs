@@ -25,9 +25,10 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 use std::time::Instant;
 
+use mahif_expr::builder::disjunction;
 use mahif_expr::{simplify, Expr, MapBindings};
 use mahif_history::{History, Statement};
-use mahif_solver::{Domain, SatResult, Solver};
+use mahif_solver::{dependency_cone, Domain, SatResult, Solver};
 use mahif_storage::Database;
 use mahif_symbolic::{compress_relation, initial_var_name};
 
@@ -35,7 +36,7 @@ use crate::domains::domains_for_relation;
 use crate::error::SlicingError;
 use crate::program::{
     affected_relations, affects_condition, model_satisfies, problem_with_definitions, trajectory,
-    witness_satisfies, ProgramSliceResult, ProgramSlicingConfig, WITNESS_SAMPLES,
+    witness_satisfies, ProgramSliceResult, ProgramSlicingConfig, Trajectory, WITNESS_SAMPLES,
 };
 
 /// Per-relation solver inputs shared by a whole scenario group (and by every
@@ -128,8 +129,8 @@ impl std::fmt::Debug for SymbolicGroupContext {
 ///
 /// Requirements (checked): all `variants` have the same length as
 /// `original`, and each differs from `original` only at `positions` (the
-/// shared normalization of the group). With a single variant this degenerates
-/// to [`crate::program_slice`] up to symbolic variable naming.
+/// shared normalization of the group). With a single variant this is
+/// [`crate::program_slice`].
 ///
 /// `variants` may hold owned histories or references (`&[History]` or
 /// `&[&History]`), so batch callers can borrow variants from their
@@ -247,6 +248,11 @@ fn multi_slice_impl(
     for variant in variants {
         affected.extend(affected_relations(original, variant, positions));
     }
+    // The original history first, then every variant: each contributes its
+    // own trajectories to a candidate's dependency condition.
+    let histories: Vec<&History> = std::iter::once(original)
+        .chain(variants.iter().copied())
+        .collect();
     let modified_set: BTreeSet<usize> = positions.iter().copied().collect();
     let solver = Solver::with_config(config.solver.clone());
 
@@ -288,13 +294,11 @@ fn multi_slice_impl(
             .iter()
             .copied()
             .filter(|&p| {
-                std::iter::once(original)
-                    .chain(variants.iter().copied())
-                    .any(|h| {
-                        h.statement(p)
-                            .map(|s| s.relation() == relation)
-                            .unwrap_or(false)
-                    })
+                histories.iter().any(|h| {
+                    h.statement(p)
+                        .map(|s| s.relation() == relation)
+                        .unwrap_or(false)
+                })
             })
             .collect();
         if relation_positions.is_empty() {
@@ -311,71 +315,67 @@ fn multi_slice_impl(
         }
         let ctx = shared.unwrap_or_else(|| &contexts[&relation]);
 
-        // Trajectories: the original history's candidate and sliced
-        // trajectories are shared; each variant contributes its own pair,
-        // with distinct variable suffixes so definitions never collide.
-        let mut skip_prime = excluded_set.clone();
-        skip_prime.insert(i);
-        let orig_cand = trajectory(original, &relation, &excluded_set, "_h");
-        let orig_sliced = trajectory(original, &relation, &skip_prime, "_sh");
-        let variant_cand: Vec<_> = variants
-            .iter()
-            .enumerate()
-            .map(|(v, h)| trajectory(h, &relation, &excluded_set, &format!("_m{v}")))
-            .collect();
-        let variant_sliced: Vec<_> = variants
-            .iter()
-            .enumerate()
-            .map(|(v, h)| trajectory(h, &relation, &skip_prime, &format!("_sm{v}")))
-            .collect();
+        // Trajectories, one per history (distinct variable suffixes keep
+        // definitions from colliding). The condition reads the states before
+        // `i` and before the modified positions, so each stops at the last of
+        // them; the i-removed ones differ from the candidate ones only at
+        // modified positions after `i` (see crate::program), so they exist
+        // only when there is one.
+        let end = relation_positions.iter().copied().fold(i, usize::max);
+        let build = |skip: &BTreeSet<usize>, tag: &str| -> Vec<(&History, Trajectory)> {
+            histories
+                .iter()
+                .enumerate()
+                .map(|(h, &history)| {
+                    let suffix = format!("_{tag}{h}");
+                    (history, trajectory(history, &relation, skip, &suffix, end))
+                })
+                .collect()
+        };
+        let candidate = build(&excluded_set, "c");
+        let removed = if end > i {
+            let mut skip_i = excluded_set.clone();
+            skip_i.insert(i);
+            build(&skip_i, "r")
+        } else {
+            Vec::new()
+        };
 
-        // "Affected by statement i" in the candidate histories of any
-        // variant (for i outside `positions` the statement text is shared,
-        // but the intermediate states it sees are per-variant).
-        let affected_by_stmt = simplify(&mahif_expr::builder::disjunction(
-            std::iter::once(affects_condition(stmt, &orig_cand.states[i])).chain(
-                variants
+        // "Affected by statement i" in the candidate history of any variant
+        // (for i outside `positions` the statement text is shared, but the
+        // intermediate states it sees are per-variant).
+        let affected_by_stmt =
+            simplify(&disjunction(candidate.iter().map(|(h, t)| {
+                affects_condition(&h.statements()[i], &t.states[i])
+            })));
+        // "Affected by a modified statement" in any variant, over the
+        // candidate and, after `i`, the i-removed trajectories.
+        let affected_by_modification =
+            simplify(&disjunction(relation_positions.iter().flat_map(|&p| {
+                let removed = if p > i { &removed[..] } else { &[] };
+                candidate
                     .iter()
-                    .zip(variant_cand.iter())
-                    .map(|(h, traj)| affects_condition(&h.statements()[i], &traj.states[i])),
-            ),
-        ));
-        // "Affected by a modified statement" in any variant, over both the
-        // candidate and the i-removed trajectories (see crate::program for
-        // why both are needed).
-        let affected_by_modification = simplify(&mahif_expr::builder::disjunction(
-            relation_positions.iter().flat_map(|&p| {
-                let a = &original.statements()[p];
-                let mut conditions = vec![
-                    affects_condition(a, &orig_cand.states[p]),
-                    affects_condition(a, &orig_sliced.states[p]),
-                ];
-                for (v, h) in variants.iter().enumerate() {
-                    let b = &h.statements()[p];
-                    conditions.push(affects_condition(b, &variant_cand[v].states[p]));
-                    conditions.push(affects_condition(b, &variant_sliced[v].states[p]));
-                }
-                conditions
-            }),
-        ));
+                    .chain(removed)
+                    .map(move |(h, t)| affects_condition(&h.statements()[p], &t.states[p]))
+            })));
         let core_condition = simplify(&Expr::And(
             Arc::new(affected_by_modification),
             Arc::new(affected_by_stmt),
         ));
-        let definitions: Vec<(String, Expr)> = orig_cand
-            .definitions
-            .iter()
-            .chain(orig_sliced.definitions.iter())
-            .chain(variant_cand.iter().flat_map(|t| t.definitions.iter()))
-            .chain(variant_sliced.iter().flat_map(|t| t.definitions.iter()))
-            .cloned()
+        let definitions: Vec<(String, Expr)> = candidate
+            .into_iter()
+            .chain(removed)
+            .flat_map(|(_, t)| t.definitions)
             .collect();
+        // Only the definitions the condition reads can change its value: the
+        // witnesses evaluate, and the solver receives, just that cone.
+        let (cone, _) = dependency_cone(&core_condition, &definitions);
 
         // Stage 1: concrete witnesses.
         if ctx
             .witnesses
             .iter()
-            .any(|w| witness_satisfies(&core_condition, &definitions, w))
+            .any(|w| witness_satisfies(&core_condition, &cone, w))
         {
             kept.push(i);
             continue;
@@ -384,7 +384,7 @@ fn multi_slice_impl(
         // Stage 2: the core condition without Φ_D.
         solver_calls += 1;
         let core_problem =
-            problem_with_definitions(ctx.domains.clone(), core_condition.clone(), &definitions);
+            problem_with_definitions(ctx.domains.clone(), core_condition.clone(), &cone);
         match solver.check(&core_problem) {
             SatResult::Unsat => {
                 excluded.push(i);
@@ -405,7 +405,8 @@ fn multi_slice_impl(
             Arc::new(ctx.phi_d.clone()),
             Arc::new(core_condition),
         ));
-        let problem = problem_with_definitions(ctx.domains.clone(), condition, &definitions);
+        // Φ_D reads only base variables, so the cone is unchanged.
+        let problem = problem_with_definitions(ctx.domains.clone(), condition, &cone);
         solver_calls += 1;
         match solver.check(&problem) {
             SatResult::Unsat => {
@@ -432,9 +433,7 @@ mod tests {
     use super::*;
     use crate::program::program_slice;
     use mahif_expr::builder::*;
-    use mahif_history::statement::{
-        running_example_database, running_example_history, running_example_u1_prime,
-    };
+    use mahif_history::statement::{running_example_database, running_example_history};
     use mahif_history::{HistoricalWhatIf, ModificationSet, SetClause};
 
     /// The running-example sweep: u1 with free-shipping thresholds 55..=75
@@ -525,32 +524,6 @@ mod tests {
             .unwrap();
             assert_eq!(sliced_delta, reference, "scenario {v} answer changed");
         }
-    }
-
-    #[test]
-    fn singleton_group_matches_program_slice() {
-        let db = running_example_database();
-        let history = History::new(running_example_history());
-        let mods = ModificationSet::single_replace(0, running_example_u1_prime());
-        let (original, modified, positions) = mods.normalize(&history).unwrap();
-        let single = program_slice(
-            &original,
-            &modified,
-            &positions,
-            &db,
-            &ProgramSlicingConfig::default(),
-        )
-        .unwrap();
-        let multi = program_slice_multi(
-            &original,
-            std::slice::from_ref(&modified),
-            &positions,
-            &db,
-            &ProgramSlicingConfig::default(),
-        )
-        .unwrap();
-        assert_eq!(single.kept_positions, multi.kept_positions);
-        assert_eq!(single.excluded_positions, multi.excluded_positions);
     }
 
     #[test]

@@ -21,7 +21,10 @@
 //! the modified statements' conditions over both the full trajectories and
 //! the trajectories of the candidate slice with `u_i` removed, and exclusions
 //! are applied cumulatively (each check is performed against the candidate
-//! produced by the previous exclusions). The verdicts are used as follows:
+//! produced by the previous exclusions). The check runs in three stages —
+//! concrete witness tuples sampled from the database, the solver on the core
+//! condition, the solver on the core condition conjoined with Φ_D — and the
+//! verdicts are used as follows:
 //!
 //! * `SAT`     → the statement may interact with the modification → keep it;
 //! * `UNSAT`   → provably independent → exclude it from the slice;
@@ -30,20 +33,40 @@
 //! Insert statements are always kept: they are excluded from symbolic
 //! reasoning by the paper (Section 8.3 / Section 10) because the insert-split
 //! optimization already reduces their cost to the number of inserted tuples.
+//!
+//! One loop runs the test, [`crate::program_slice_multi`]; [`program_slice`]
+//! is that loop over a group of one scenario. Two facts keep it cheap:
+//!
+//! * **Only the dependency cone is evaluated.** Symbolic execution defines a
+//!   variable for every assignment of every trajectory, but the dependency
+//!   condition reads few of them. Stage 1 evaluates per witness only the
+//!   definitions the condition transitively reads
+//!   ([`mahif_solver::dependency_cone`], the filter the solver applies too),
+//!   and the solver receives only those. A witness that satisfies the
+//!   condition is therefore never thrown away because some definition the
+//!   condition does not read fails to evaluate on it.
+//! * **Trajectories stop where the condition stops reading.** The condition
+//!   reads the state before `u_i` and the states before the modified
+//!   positions `p`, so every trajectory ends at `max(i, last p)`. For `p < i`
+//!   the `u_i`-removed state equals the candidate state: the state before `p`
+//!   is produced by the statements at positions below `p` alone, `i` is not
+//!   one of them, so skipping `u_i` changes nothing up to `p`. The
+//!   `u_i`-removed conditions at `p < i` would repeat the candidate ones, so
+//!   only modified positions `p > i` get them, and the `u_i`-removed
+//!   trajectories are built only when such a position exists.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use mahif_expr::{
     eval_condition, eval_expr, simplify, substitute_attrs, Expr, MapBindings, SubstMap,
 };
 use mahif_history::{History, Statement};
-use mahif_solver::{Domain, SatProblem, SatResult, SearchConfig, Solver};
+use mahif_solver::{Domain, SatProblem, SearchConfig};
 use mahif_storage::Database;
-use mahif_symbolic::{compress_relation, initial_var_name, CompressionConfig};
+use mahif_symbolic::{initial_var_name, CompressionConfig};
 
-use crate::domains::domains_for_relation;
 use crate::error::SlicingError;
 
 /// Configuration of program slicing.
@@ -108,26 +131,28 @@ impl ProgramSliceResult {
 /// plus the definitions introducing the intermediate variables.
 pub(crate) struct Trajectory {
     /// `states[j]` maps attribute → symbolic expression before the statement
-    /// at position `j`; `states[len]` is the final state.
+    /// at position `j`, for every `j` up to the trajectory's end.
     pub(crate) states: Vec<BTreeMap<String, Expr>>,
     /// Definitions `(variable, expression)` in dependency order.
     pub(crate) definitions: Vec<(String, Expr)>,
 }
 
-/// Builds the symbolic trajectory of `history` over `relation`, skipping the
-/// statements at the positions in `skip` (used to model candidate slices:
-/// the skipped statements' effects are simply not applied).
+/// Builds the symbolic trajectory of the first `end` statements of `history`
+/// over `relation`, skipping the statements at the positions in `skip` (used
+/// to model candidate slices: the skipped statements' effects are simply not
+/// applied). `states[end]` is the last state.
 pub(crate) fn trajectory(
     history: &History,
     relation: &str,
     skip: &BTreeSet<usize>,
     suffix: &str,
+    end: usize,
 ) -> Trajectory {
     let mut current: BTreeMap<String, Expr> = BTreeMap::new();
     // Attributes are discovered lazily from the statements' conditions and
     // set clauses; initial value of attribute A is the shared variable
     // `x_A_0`.
-    let mut states = Vec::with_capacity(history.len() + 1);
+    let mut states = Vec::with_capacity(end + 1);
     let mut definitions = Vec::new();
 
     let ensure_attr = |current: &mut BTreeMap<String, Expr>, attr: &str| {
@@ -136,7 +161,7 @@ pub(crate) fn trajectory(
             .or_insert_with(|| Expr::Var(initial_var_name(attr)));
     };
 
-    for (j, stmt) in history.statements().iter().enumerate() {
+    for (j, stmt) in history.statements()[..end].iter().enumerate() {
         states.push(current.clone());
         if stmt.relation() != relation || skip.contains(&j) {
             continue;
@@ -201,15 +226,16 @@ pub(crate) fn affects_condition(statement: &Statement, state: &BTreeMap<String, 
     }
 }
 
-/// Evaluates the trajectory definitions over a concrete tuple binding and
-/// then the condition; `true` only when the condition provably holds.
+/// Evaluates `cone` — the condition's dependency cone, see
+/// [`mahif_solver::dependency_cone`] — over a concrete tuple binding and then
+/// the condition; `true` only when the condition provably holds.
 pub(crate) fn witness_satisfies(
     condition: &Expr,
-    definitions: &[(String, Expr)],
+    cone: &[&(String, Expr)],
     witness: &MapBindings,
 ) -> bool {
     let mut bindings = witness.clone();
-    for (name, def) in definitions {
+    for (name, def) in cone {
         match eval_expr(def, &bindings) {
             Ok(v) => bindings.set_var(name.clone(), v),
             Err(_) => return false,
@@ -235,7 +261,7 @@ pub(crate) fn model_satisfies(phi_d: &Expr, model: &mahif_solver::Assignment) ->
 pub(crate) fn problem_with_definitions(
     domains: Vec<(String, Domain)>,
     condition: Expr,
-    definitions: &[(String, Expr)],
+    definitions: &[&(String, Expr)],
 ) -> SatProblem {
     let mut problem = SatProblem::new(domains, condition);
     for (name, def) in definitions {
@@ -287,6 +313,8 @@ pub(crate) fn affected_relations(
 /// Computes the program slice for normalized histories `original` /
 /// `modified` (equal length, differing at `positions`) over `database` (the
 /// time-travel state `D`). Returns the positions to keep.
+///
+/// This is [`crate::program_slice_multi`] over a group of one scenario.
 pub fn program_slice(
     original: &History,
     modified: &History,
@@ -294,231 +322,13 @@ pub fn program_slice(
     database: &Database,
     config: &ProgramSlicingConfig,
 ) -> Result<ProgramSliceResult, SlicingError> {
-    let start = Instant::now();
-    if original.len() != modified.len() {
-        return Err(SlicingError::HistoriesNotAligned {
-            original: original.len(),
-            modified: modified.len(),
-        });
-    }
-    if positions.is_empty() {
-        // Nothing was modified: the answer is empty and no statement needs to
-        // be reenacted.
-        return Ok(ProgramSliceResult {
-            kept_positions: Vec::new(),
-            excluded_positions: (0..original.len()).collect(),
-            solver_calls: 0,
-            duration: start.elapsed(),
-        });
-    }
-
-    let affected = affected_relations(original, modified, positions);
-    let modified_set: BTreeSet<usize> = positions.iter().copied().collect();
-    let solver = Solver::with_config(config.solver.clone());
-
-    // Per-relation solver inputs that do not depend on the candidate slice.
-    struct RelationContext {
-        domains: Vec<(String, Domain)>,
-        phi_d: Expr,
-        /// Sampled concrete tuples (as variable bindings of the initial
-        /// symbolic variables) used as cheap dependency witnesses.
-        witnesses: Vec<MapBindings>,
-    }
-    let mut contexts: BTreeMap<String, RelationContext> = BTreeMap::new();
-
-    let mut kept = Vec::new();
-    let mut excluded = Vec::new();
-    let mut excluded_set: BTreeSet<usize> = BTreeSet::new();
-    let mut solver_calls = 0usize;
-
-    for (i, stmt) in original.statements().iter().enumerate() {
-        if modified_set.contains(&i) {
-            kept.push(i);
-            continue;
-        }
-        // Inserts are always kept (their reenactment cost is bounded by the
-        // number of inserted tuples, Section 10).
-        if matches!(
-            stmt,
-            Statement::InsertValues { .. } | Statement::InsertQuery { .. }
-        ) {
-            kept.push(i);
-            continue;
-        }
-        let relation = stmt.relation().to_string();
-        // Statements over relations that cannot carry delta tuples are
-        // trivially independent.
-        if !affected.contains(&relation) {
-            excluded.push(i);
-            excluded_set.insert(i);
-            continue;
-        }
-        // Statements over affected relations for which no modified statement
-        // targets the same relation (only possible via insert-select data
-        // flow) are kept conservatively.
-        let relation_positions: Vec<usize> = positions
-            .iter()
-            .copied()
-            .filter(|p| {
-                original
-                    .statement(*p)
-                    .map(|s| s.relation() == relation)
-                    .unwrap_or(false)
-            })
-            .collect();
-        if relation_positions.is_empty() {
-            kept.push(i);
-            continue;
-        }
-
-        // Build (or reuse) the per-relation symbolic context.
-        if !contexts.contains_key(&relation) {
-            let rel = database.relation(&relation)?;
-            let domains = domains_for_relation(rel, initial_var_name)?;
-            let phi_d = if config.skip_compression_constraint {
-                Expr::true_()
-            } else {
-                compress_relation(rel, &config.compression)
-            };
-            // Sample up to WITNESS_SAMPLES tuples, evenly spaced over the
-            // relation, as concrete dependency witnesses.
-            let stride = (rel.len() / WITNESS_SAMPLES).max(1);
-            let witnesses = rel
-                .iter()
-                .step_by(stride)
-                .take(WITNESS_SAMPLES)
-                .map(|t| {
-                    let mut b = MapBindings::new();
-                    for (idx, a) in rel.schema.attributes.iter().enumerate() {
-                        if let Some(v) = t.value(idx) {
-                            b.set_var(initial_var_name(&a.name), v.clone());
-                        }
-                    }
-                    b
-                })
-                .collect();
-            contexts.insert(
-                relation.clone(),
-                RelationContext {
-                    domains,
-                    phi_d,
-                    witnesses,
-                },
-            );
-        }
-        let ctx = &contexts[&relation];
-
-        // Dependency condition for excluding statement `i` from the current
-        // candidate slice `S` (all positions minus the exclusions made so
-        // far): there must be *no* possible input tuple that is affected by
-        // statement `i` (in the candidate histories) and also affected by a
-        // modified statement — where the modified statements' conditions are
-        // evaluated both over the candidate histories `S` and over the
-        // candidate with `i` removed (`S' = S \ {i}`). If no such tuple
-        // exists, every tuple touched by `i` produces an empty per-tuple
-        // delta before and after the removal, so the removal preserves the
-        // answer; exclusions are applied cumulatively. (The paper's
-        // Definition 7 checks only the full-history trajectories, which
-        // property testing shows is insufficient: removing `i` can change
-        // which tuples a later modified statement fires on.)
-        let orig_cand = trajectory(original, &relation, &excluded_set, "_h");
-        let mod_cand = trajectory(modified, &relation, &excluded_set, "_m");
-        let mut skip_prime = excluded_set.clone();
-        skip_prime.insert(i);
-        let orig_sliced = trajectory(original, &relation, &skip_prime, "_sh");
-        let mod_sliced = trajectory(modified, &relation, &skip_prime, "_sm");
-
-        let affected_by_stmt = simplify(&Expr::Or(
-            Arc::new(affects_condition(stmt, &orig_cand.states[i])),
-            Arc::new(affects_condition(
-                &modified.statements()[i],
-                &mod_cand.states[i],
-            )),
-        ));
-        let affected_by_modification = simplify(&mahif_expr::builder::disjunction(
-            relation_positions.iter().flat_map(|&p| {
-                let a = &original.statements()[p];
-                let b = &modified.statements()[p];
-                vec![
-                    affects_condition(a, &orig_cand.states[p]),
-                    affects_condition(b, &mod_cand.states[p]),
-                    affects_condition(a, &orig_sliced.states[p]),
-                    affects_condition(b, &mod_sliced.states[p]),
-                ]
-            }),
-        ));
-        let core_condition = simplify(&Expr::And(
-            Arc::new(affected_by_modification),
-            Arc::new(affected_by_stmt),
-        ));
-        let definitions: Vec<(String, Expr)> = orig_cand
-            .definitions
-            .iter()
-            .chain(mod_cand.definitions.iter())
-            .chain(orig_sliced.definitions.iter())
-            .chain(mod_sliced.definitions.iter())
-            .cloned()
-            .collect();
-
-        // Stage 1: concrete witnesses. A database tuple satisfying the core
-        // dependency condition is a world of Φ_D, so the statement is
-        // provably dependent and must be kept.
-        if ctx
-            .witnesses
-            .iter()
-            .any(|w| witness_satisfies(&core_condition, &definitions, w))
-        {
-            kept.push(i);
-            continue;
-        }
-
-        // Stage 2: decide the core condition (without Φ_D). Its variables are
-        // only those mentioned by the statement conditions, which keeps the
-        // search space small. UNSAT of the core implies UNSAT of the full
-        // conjunction with Φ_D.
-        solver_calls += 1;
-        let core_problem =
-            problem_with_definitions(ctx.domains.clone(), core_condition.clone(), &definitions);
-        let core_result = solver.check(&core_problem);
-        match core_result {
-            SatResult::Unsat => {
-                excluded.push(i);
-                excluded_set.insert(i);
-                continue;
-            }
-            SatResult::Sat(ref model) => {
-                // The core witness proves dependence only if it also lies in
-                // a world of the compressed database.
-                if model_satisfies(&ctx.phi_d, model) {
-                    kept.push(i);
-                    continue;
-                }
-            }
-            SatResult::Unknown => {}
-        }
-
-        // Stage 3: full condition including Φ_D.
-        let condition = simplify(&Expr::And(
-            Arc::new(ctx.phi_d.clone()),
-            Arc::new(core_condition),
-        ));
-        let problem = problem_with_definitions(ctx.domains.clone(), condition, &definitions);
-        solver_calls += 1;
-        match solver.check(&problem) {
-            SatResult::Unsat => {
-                excluded.push(i);
-                excluded_set.insert(i);
-            }
-            SatResult::Sat(_) | SatResult::Unknown => kept.push(i),
-        }
-    }
-
-    Ok(ProgramSliceResult {
-        kept_positions: kept,
-        excluded_positions: excluded,
-        solver_calls,
-        duration: start.elapsed(),
-    })
+    crate::program_slice_multi(
+        original,
+        std::slice::from_ref(modified),
+        positions,
+        database,
+        config,
+    )
 }
 
 #[cfg(test)]
@@ -539,6 +349,18 @@ mod tests {
         )
     }
 
+    /// Answers the query by reenacting only the statements at `kept`.
+    fn sliced_answer(query: &HistoricalWhatIf, kept: &[usize]) -> mahif_history::DatabaseDelta {
+        let n = query.normalize().unwrap();
+        let left = n.original.restrict(kept).execute(&query.database).unwrap();
+        let right = n.modified.restrict(kept).execute(&query.database).unwrap();
+        mahif_history::DatabaseDelta::compute_for_relations(
+            &left,
+            &right,
+            &n.original.relations_accessed(),
+        )
+    }
+
     /// Answers the query by reenacting only the sliced statements and checks
     /// the result against direct execution.
     fn assert_slice_preserves_answer(query: &HistoricalWhatIf, config: &ProgramSlicingConfig) {
@@ -551,20 +373,95 @@ mod tests {
             config,
         )
         .unwrap();
-        let sliced_original = n.original.restrict(&slice.kept_positions);
-        let sliced_modified = n.modified.restrict(&slice.kept_positions);
-        let left = sliced_original.execute(&query.database).unwrap();
-        let right = sliced_modified.execute(&query.database).unwrap();
-        let sliced_delta = mahif_history::DatabaseDelta::compute_for_relations(
-            &left,
-            &right,
-            &n.original.relations_accessed(),
-        );
-        let reference = query.answer_by_direct_execution().unwrap();
         assert_eq!(
-            sliced_delta, reference,
+            sliced_answer(query, &slice.kept_positions),
+            query.answer_by_direct_execution().unwrap(),
             "slice {:?} changed the answer",
             slice.kept_positions
+        );
+    }
+
+    /// `R(a, b)` holding `rows`.
+    fn ab_database(rows: &[[i64; 2]]) -> Database {
+        use mahif_storage::{Attribute, Relation, Schema};
+        let schema = Schema::shared("R", vec![Attribute::int("a"), Attribute::int("b")]);
+        let mut relation = Relation::empty(schema);
+        for row in rows {
+            relation.insert_values(*row).unwrap();
+        }
+        let mut db = Database::new();
+        db.add_relation(relation).unwrap();
+        db
+    }
+
+    #[test]
+    fn unrelated_failing_definition_does_not_veto_a_witness() {
+        // u0 divides b by zero on every tuple; u1 (modified) reads only a.
+        // The dependency condition for u0 reads only a, so the witness
+        // a = 150 proves u0 dependent without the solver — although u0's own
+        // definition of b fails to evaluate on every witness.
+        let history = History::new(vec![
+            Statement::update(
+                "R",
+                SetClause::single("b", div(attr("b"), lit(0))),
+                ge(attr("a"), lit(0)),
+            ),
+            Statement::update("R", SetClause::single("a", lit(0)), ge(attr("a"), lit(100))),
+        ]);
+        let replacement =
+            Statement::update("R", SetClause::single("a", lit(0)), ge(attr("a"), lit(50)));
+        let (original, modified, positions) = ModificationSet::single_replace(1, replacement)
+            .normalize(&history)
+            .unwrap();
+        let slice = program_slice(
+            &original,
+            &modified,
+            &positions,
+            &ab_database(&[[150, 1], [20, 2]]),
+            &ProgramSlicingConfig::default(),
+        )
+        .unwrap();
+        assert_eq!(slice.kept_positions, [0, 1]);
+        assert_eq!(slice.solver_calls, 0);
+    }
+
+    #[test]
+    fn statement_only_the_removed_trajectory_needs_is_kept() {
+        // u0 zeroes a wherever a >= 100, so in the full history u1 and its
+        // replacement fire on no row. Without u0 the row a = 150 reaches u1,
+        // where b + 1 and b + 2 differ: the modified position p = 1 lies
+        // after i = 0, and only the u0-removed trajectory shows the
+        // dependence.
+        let update_b = |amount| {
+            Statement::update(
+                "R",
+                SetClause::single("b", add(attr("b"), lit(amount))),
+                ge(attr("a"), lit(100)),
+            )
+        };
+        let q = HistoricalWhatIf::new(
+            History::new(vec![
+                Statement::update("R", SetClause::single("a", lit(0)), ge(attr("a"), lit(100))),
+                update_b(1),
+            ]),
+            ab_database(&[[150, 0], [20, 0]]),
+            ModificationSet::single_replace(1, update_b(2)),
+        );
+        let n = q.normalize().unwrap();
+        let slice = program_slice(
+            &n.original,
+            &n.modified,
+            &n.modified_positions,
+            &q.database,
+            &ProgramSlicingConfig::default(),
+        )
+        .unwrap();
+        assert!(slice.kept_positions.contains(&0));
+        assert_slice_preserves_answer(&q, &ProgramSlicingConfig::default());
+        assert_ne!(
+            sliced_answer(&q, &[1]),
+            q.answer_by_direct_execution().unwrap(),
+            "dropping u0 must change the answer"
         );
     }
 

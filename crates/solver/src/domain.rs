@@ -1,7 +1,7 @@
 //! Problem statement handed to the solver: base variable domains, derived
 //! variable definitions and the condition to check.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 use mahif_expr::{Bindings, Expr, Value};
@@ -93,6 +93,36 @@ impl SatProblem {
             .map(|(_, d)| d.size())
             .fold(1u64, |acc, s| acc.saturating_mul(s))
     }
+}
+
+/// The *dependency cone* of `condition`: the definitions it transitively
+/// reads, in their original (dependency) order, and every variable read along
+/// the way, base variables included.
+///
+/// Problems built from symbolic execution carry the full variable chains of
+/// every history that was run, but a dependency check usually mentions only a
+/// few attributes. A definition outside the cone cannot change the
+/// condition's value, so evaluating — or searching over — only the cone gives
+/// the same verdict, and a definition that fails to evaluate outside the cone
+/// cannot veto a point that satisfies the condition.
+pub fn dependency_cone<'a>(
+    condition: &Expr,
+    definitions: &'a [(String, Expr)],
+) -> (Vec<&'a (String, Expr)>, BTreeSet<String>) {
+    let mut vars = condition.vars();
+    let mut keep = vec![false; definitions.len()];
+    for (k, (name, expr)) in definitions.iter().enumerate().rev() {
+        if vars.contains(name) {
+            keep[k] = true;
+            vars.extend(expr.vars());
+        }
+    }
+    let cone = definitions
+        .iter()
+        .zip(keep)
+        .filter_map(|(definition, k)| k.then_some(definition))
+        .collect();
+    (cone, vars)
 }
 
 /// The result of a satisfiability check.
@@ -211,6 +241,19 @@ mod tests {
         p.define("y", add(var("x"), lit(1)));
         assert_eq!(p.search_space(), 20);
         assert_eq!(p.definitions.len(), 1);
+    }
+
+    #[test]
+    fn dependency_cone_keeps_only_what_the_condition_reads() {
+        let definitions = vec![
+            ("y".to_string(), add(var("x"), lit(1))),
+            ("z".to_string(), div(var("w"), lit(0))),
+            ("u".to_string(), mul(var("y"), lit(2))),
+        ];
+        let (cone, vars) = dependency_cone(&ge(var("u"), lit(4)), &definitions);
+        let names: Vec<&str> = cone.iter().map(|(name, _)| name.as_str()).collect();
+        assert_eq!(names, ["y", "u"]);
+        assert!(vars.contains("x") && vars.contains("y") && !vars.contains("w"));
     }
 
     #[test]

@@ -36,6 +36,6 @@ pub mod interval;
 pub mod milp;
 pub mod search;
 
-pub use domain::{Assignment, Domain, SatProblem, SatResult};
+pub use domain::{dependency_cone, Assignment, Domain, SatProblem, SatResult};
 pub use milp::{compile_to_milp, LinearConstraint, LinearExpr, MilpProgram, MilpVarKind};
 pub use search::{SearchConfig, Solver};

@@ -22,7 +22,7 @@ use std::sync::Arc;
 
 use mahif_expr::{eval_condition, eval_expr, MapBindings, Value};
 
-use crate::domain::{Assignment, Domain, SatProblem, SatResult};
+use crate::domain::{dependency_cone, Assignment, Domain, SatProblem, SatResult};
 use crate::interval::{abstract_eval, AbstractValue, Bool3, IntInterval};
 
 /// Resource limits and tunables for the search.
@@ -188,29 +188,14 @@ impl Solver {
             .map(|(_, d)| BoxDomain::from_domain(d))
             .collect();
 
-        // Keep only the definitions the condition transitively depends on.
-        // Problems built from symbolic execution carry the full variable
-        // chains of *both* histories, but a dependency check usually only
-        // mentions a few attributes; dropping unused definitions keeps their
-        // variables out of the relevance set below (so the search never
-        // splits on them) and avoids evaluating them per explored box.
-        let mut needed_vars: std::collections::BTreeSet<String> = problem.condition.vars();
-        let mut keep = vec![false; problem.definitions.len()];
-        for (i, (name, expr)) in problem.definitions.iter().enumerate().rev() {
-            if needed_vars.contains(name) {
-                keep[i] = true;
-                needed_vars.extend(expr.vars());
-            }
-        }
+        // Keep only the condition's dependency cone: dropping unused
+        // definitions keeps their variables out of the relevance set below
+        // (so the search never splits on them) and avoids evaluating them per
+        // explored box.
+        let (cone, needed_vars) = dependency_cone(&problem.condition, &problem.definitions);
         let problem = SatProblem {
             base: problem.base.clone(),
-            definitions: problem
-                .definitions
-                .iter()
-                .zip(&keep)
-                .filter(|(_, k)| **k)
-                .map(|(d, _)| d.clone())
-                .collect(),
+            definitions: cone.into_iter().cloned().collect(),
             condition: problem.condition.clone(),
         };
         let problem = &problem;

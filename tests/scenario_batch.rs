@@ -10,6 +10,7 @@ use mahif_expr::builder::*;
 use mahif_history::statement::{running_example_database, running_example_history};
 use mahif_history::{History, Modification, ModificationSet, SetClause, Statement};
 use mahif_scenario::{BatchConfig, Scenario, ScenarioSet};
+use mahif_slicing::{program_slice, program_slice_multi, ProgramSlicingConfig};
 use mahif_storage::{Attribute, Database, Relation, Schema, Tuple};
 use mahif_workload::{Dataset, DatasetKind, WorkloadSpec};
 
@@ -326,6 +327,50 @@ fn generated_workload_sweep_matches_singles() {
     assert_eq!(batch.stats.shared_slice_hits, 5);
     for method in [Method::Naive, Method::ReenactDs, Method::ReenactPsDs] {
         assert_batch_matches_singles(&session, "taxi", &set, method);
+    }
+}
+
+/// Exact-count guard on the slicer, over the three histories of the
+/// benchmark's `explore_cold` workload (dataset seed 11, workload seed 7,
+/// U=24, D=10, T=10): a k=8 sweep keeps the modified statement and its one
+/// dependent update and asks the solver 22 times, and so does each member on
+/// its own. A faster dependency test must return the same slice after the
+/// same number of solver calls.
+#[test]
+fn explore_cold_slices_keep_their_exact_counts() {
+    let histories = [
+        (DatasetKind::Taxi, 5_000),
+        (DatasetKind::TpccStock, 5_000),
+        (DatasetKind::Ycsb, 2_000),
+    ];
+    let config = ProgramSlicingConfig::default();
+    for (kind, rows) in histories {
+        let dataset = Dataset::generate(kind, rows, 11);
+        let workload = WorkloadSpec::default()
+            .with_updates(24)
+            .with_dependent_pct(10)
+            .with_affected_pct(10)
+            .with_seed(7)
+            .generate(&dataset);
+        let history = &workload.history;
+        let mut variants = Vec::new();
+        let mut positions = Vec::new();
+        for (_, mods) in workload.sweep_variants(8) {
+            let (original, modified, p) = mods.normalize(history).unwrap();
+            assert_eq!(original.statements(), history.statements());
+            positions = p;
+            variants.push(modified);
+        }
+        let sweep = program_slice_multi(history, &variants, &positions, &dataset.database, &config)
+            .unwrap();
+        assert_eq!(sweep.kept_positions, [0, 10], "{kind:?} k=8");
+        assert_eq!(sweep.solver_calls, 22, "{kind:?} k=8");
+        for (v, variant) in variants.iter().enumerate() {
+            let own =
+                program_slice(history, variant, &positions, &dataset.database, &config).unwrap();
+            assert_eq!(own.kept_positions, [0, 10], "{kind:?} variant {v}");
+            assert_eq!(own.solver_calls, 22, "{kind:?} variant {v}");
+        }
     }
 }
 

@@ -421,7 +421,7 @@ fn fig25(config: &ExperimentConfig) {
     );
 }
 
-/// Ablations of the design choices called out in DESIGN.md: the insert-split
+/// Ablations of the engine's design choices: the insert-split
 /// optimization, the compressed-database constraint, the choice of slicer and
 /// the compression granularity.
 fn ablation(config: &ExperimentConfig) {

@@ -244,7 +244,8 @@ pub struct GroupPlan {
     /// timings) and reported at the batch level otherwise.
     shared_columnar: ColumnarCounters,
     /// Original-side reenactment result per relation (parallel to
-    /// `relations`) — the shared half of phase 3, computed once.
+    /// `relations`) — the shared half of phase 3, computed once and sorted
+    /// by `Tuple::total_cmp` for the members' delta merges.
     original_results: Vec<Relation>,
     /// `count_matching` of the original-side condition per relation
     /// (parallel to `relations`), for the input-tuple statistics.
@@ -458,7 +459,7 @@ impl GroupPlan {
                 Some(shadow) => (shadow, Expr::true_()),
                 None => (base_db, conditions.original_for(relation)),
             };
-            original_results.push(reenact_side(
+            let mut original = reenact_side(
                 &sliced_original,
                 &first.original,
                 relation,
@@ -468,7 +469,11 @@ impl GroupPlan {
                 config,
                 cbase.as_ref(),
                 &mut shared_columnar,
-            )?);
+            )?;
+            // Sorted once here, so every member's delta is a merge against
+            // it and sorts only its own modified side.
+            original.sort();
+            original_results.push(original);
             relation_timings.push(relation_start.elapsed());
         }
         let shared_reenactment = start.elapsed();
@@ -622,16 +627,18 @@ impl GroupPlan {
             timings.execution += self.shared_reenactment;
         }
 
-        // Phase 4: delta against the cached original-side results.
+        // Phase 4: delta against the cached (pre-sorted) original-side
+        // results; only the member's own side needs sorting.
         let start = Instant::now();
         let mut deltas = Vec::new();
-        for ((relation, left), right) in self
+        for ((relation, left), mut right) in self
             .relations
             .iter()
             .zip(self.original_results.iter())
-            .zip(modified_results.iter())
+            .zip(modified_results)
         {
-            let delta = RelationDelta::compute(relation, left, right);
+            right.sort();
+            let delta = RelationDelta::compute_sorted(relation, left, &right);
             if !delta.is_empty() {
                 deltas.push(delta);
             }

@@ -1,6 +1,16 @@
 //! Database deltas: the symmetric difference `Δ(D, D')` with `+`/`−`
 //! annotations (Section 3).
 //!
+//! A relation delta is a sort-merge with set semantics: both sides are
+//! sorted by [`Tuple::total_cmp`] and walked once
+//! ([`mahif_storage::one_sided_tuples`]); a run of tuples equal on both
+//! sides emits nothing, and a tuple on one side only emits one `−` or `+`,
+//! however often it repeats. The output is therefore already in delta
+//! order (tuple, then `−` before `+`). Relations are bags, so under
+//! duplicate tuples this set delta disagrees with data slicing (ROADMAP
+//! item 2); a bag delta would count the lengths of the two equal runs and
+//! emit their difference instead of skipping them.
+//!
 //! Per-relation deltas are stored behind [`Arc`] so that a batch of
 //! what-if scenarios whose answers coincide (the common case in a
 //! parameter sweep: most thresholds waive the same two orders) can share
@@ -9,10 +19,11 @@
 //! is answered; equality and display semantics are unchanged, only the
 //! storage is deduplicated.
 
+use std::borrow::Borrow;
 use std::fmt;
 use std::sync::Arc;
 
-use mahif_storage::{Database, Relation, SchemaRef, Tuple};
+use mahif_storage::{one_sided_tuples, Database, Relation, SchemaRef, Side, Tuple};
 
 /// Whether a delta tuple appears only in the second database (`+`) or only in
 /// the first (`−`).
@@ -55,33 +66,46 @@ pub struct RelationDelta {
     pub tuples: Vec<DeltaTuple>,
 }
 
+/// References to `relation`'s tuples, sorted by [`Tuple::total_cmp`].
+fn sorted(relation: &Relation) -> Vec<&Tuple> {
+    let mut refs: Vec<&Tuple> = relation.tuples.iter().collect();
+    refs.sort_unstable_by(|a, b| a.total_cmp(b));
+    refs
+}
+
 impl RelationDelta {
     /// Computes `Δ(left, right)` for a single relation:
     /// `{+t | t ∉ left ∧ t ∈ right} ∪ {−t | t ∈ left ∧ t ∉ right}`.
     pub fn compute(relation: &str, left: &Relation, right: &Relation) -> RelationDelta {
-        let minus = left.set_difference(right);
-        let plus = right.set_difference(left);
-        let mut tuples: Vec<DeltaTuple> = Vec::with_capacity(minus.len() + plus.len());
-        for t in minus.iter() {
+        Self::merge(relation, left.schema.clone(), &sorted(left), &sorted(right))
+    }
+
+    /// [`compute`](Self::compute) for two relations whose tuples are
+    /// already sorted by [`Tuple::total_cmp`] (see [`Relation::sort`]):
+    /// the merge alone, no sort.
+    pub fn compute_sorted(relation: &str, left: &Relation, right: &Relation) -> RelationDelta {
+        Self::merge(relation, left.schema.clone(), &left.tuples, &right.tuples)
+    }
+
+    fn merge<L: Borrow<Tuple>, R: Borrow<Tuple>>(
+        relation: &str,
+        schema: SchemaRef,
+        left: &[L],
+        right: &[R],
+    ) -> RelationDelta {
+        let mut tuples = Vec::new();
+        one_sided_tuples(left, right, |side, t| {
             tuples.push(DeltaTuple {
-                annotation: Annotation::Minus,
+                annotation: match side {
+                    Side::Left => Annotation::Minus,
+                    Side::Right => Annotation::Plus,
+                },
                 tuple: t.clone(),
-            });
-        }
-        for t in plus.iter() {
-            tuples.push(DeltaTuple {
-                annotation: Annotation::Plus,
-                tuple: t.clone(),
-            });
-        }
-        tuples.sort_by(|a, b| {
-            a.tuple
-                .total_cmp(&b.tuple)
-                .then_with(|| annotation_rank(a.annotation).cmp(&annotation_rank(b.annotation)))
+            })
         });
         RelationDelta {
             relation: relation.to_string(),
-            schema: left.schema.clone(),
+            schema,
             tuples,
         }
     }
@@ -112,13 +136,6 @@ impl RelationDelta {
             .filter(|t| t.annotation == Annotation::Minus)
             .map(|t| &t.tuple)
             .collect()
-    }
-}
-
-fn annotation_rank(a: Annotation) -> u8 {
-    match a {
-        Annotation::Minus => 0,
-        Annotation::Plus => 1,
     }
 }
 
@@ -235,21 +252,32 @@ impl DatabaseDelta {
 /// answer reduces delta storage from `O(k · |Δ|)` to `O(|Δ|)`.
 #[derive(Debug, Default)]
 pub struct DeltaInterner {
-    /// Seen relation deltas, bucketed by content hash so interning a batch
-    /// stays linear in the number of distinct deltas (a full-content
-    /// equality check runs only within a bucket). Held as [`Weak`]
-    /// references: the interner never keeps a delta alive and never
+    /// Seen relation deltas, bucketed by [`relation_delta_key`] so
+    /// interning a batch stays linear in the number of distinct deltas (a
+    /// full-content equality check runs only within a bucket). Held as
+    /// [`Weak`] references: the interner never keeps a delta alive and never
     /// inflates `Arc::strong_count`, so [`DatabaseDelta::shared_tuples`]
     /// counts only genuine sharing between answers.
     seen: std::collections::HashMap<u64, Vec<std::sync::Weak<RelationDelta>>>,
     deduped_tuples: usize,
 }
 
+/// The interner's bucket key: the relation, the tuple count and three
+/// sampled tuples (first, middle, last). Hashing every tuple would cost as
+/// much as the equality check it is meant to spare; the samples already
+/// separate the deltas a sweep produces, and full `==` decides within a
+/// bucket.
 fn relation_delta_key(delta: &RelationDelta) -> u64 {
     use std::hash::{Hash, Hasher};
     let mut hasher = std::collections::hash_map::DefaultHasher::new();
     delta.relation.hash(&mut hasher);
-    delta.tuples.hash(&mut hasher);
+    let n = delta.tuples.len();
+    n.hash(&mut hasher);
+    if n > 0 {
+        for i in [0, n / 2, n - 1] {
+            delta.tuples[i].hash(&mut hasher);
+        }
+    }
     hasher.finish()
 }
 
@@ -423,6 +451,40 @@ mod tests {
         assert_eq!(c.shared_tuples(), 0);
         // Re-interning an already shared delta dedupes nothing new.
         assert_eq!(interner.intern(&mut b), 0);
+    }
+
+    #[test]
+    fn interner_separates_deltas_that_share_a_bucket_key() {
+        let schema = mahif_storage::Schema::shared("R", vec![mahif_storage::Attribute::int("A")]);
+        let delta_of = |values: &[i64]| {
+            DatabaseDelta::from_relations(vec![RelationDelta {
+                relation: "R".to_string(),
+                schema: schema.clone(),
+                tuples: values
+                    .iter()
+                    .map(|&v| DeltaTuple {
+                        annotation: Annotation::Plus,
+                        tuple: Tuple::from_iter_values([v]),
+                    })
+                    .collect(),
+            }])
+        };
+        // Same relation, length and first / middle / last tuples: one key,
+        // different contents.
+        let mut a = delta_of(&[1, 2, 3, 4, 5]);
+        let mut b = delta_of(&[1, 9, 3, 4, 5]);
+        let mut c = delta_of(&[1, 2, 3, 4, 5]);
+        assert_eq!(
+            relation_delta_key(&a.relations[0]),
+            relation_delta_key(&b.relations[0])
+        );
+        let mut interner = DeltaInterner::new();
+        assert_eq!(interner.intern(&mut a), 0);
+        assert_eq!(interner.intern(&mut b), 0, "a different delta stays owned");
+        assert!(!Arc::ptr_eq(&a.relations[0], &b.relations[0]));
+        assert_eq!(interner.intern(&mut c), 5, "an equal delta is shared");
+        assert!(Arc::ptr_eq(&a.relations[0], &c.relations[0]));
+        assert_eq!(b, delta_of(&[1, 9, 3, 4, 5]));
     }
 
     #[test]

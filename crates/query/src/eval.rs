@@ -1,7 +1,7 @@
 //! Bag-semantics evaluation of relational algebra queries.
 
 use mahif_expr::{eval_condition, eval_expr, Expr};
-use mahif_storage::{Database, Relation, Tuple, TupleBindings};
+use mahif_storage::{one_sided_tuples, Database, Relation, Side, Tuple, TupleBindings};
 
 use crate::ast::{ProjectItem, Query};
 use crate::catalog::Catalog;
@@ -52,9 +52,17 @@ fn evaluate_with_catalog(
             Ok(l.union_all(&r)?)
         }
         Query::Difference { left, right } => {
-            let l = evaluate_with_catalog(left, db, catalog)?;
-            let r = evaluate_with_catalog(right, db, catalog)?;
-            Ok(l.set_difference(&r))
+            let mut l = evaluate_with_catalog(left, db, catalog)?;
+            let mut r = evaluate_with_catalog(right, db, catalog)?;
+            l.sort();
+            r.sort();
+            let mut out = Relation::empty(l.schema.clone());
+            one_sided_tuples(&l.tuples, &r.tuples, |side, t| {
+                if side == Side::Left {
+                    out.tuples.push(t.clone());
+                }
+            });
+            Ok(out)
         }
         Query::Join { left, right, cond } => {
             let l = evaluate_with_catalog(left, db, catalog)?;

@@ -73,7 +73,7 @@ pub fn reenact_statement(
             // queries read a *different* relation that earlier statements of
             // the same history modified are not supported by reenactment here
             // (the engine would need the other relation's prefix reenactment
-            // as well) — see DESIGN.md.
+            // as well); ROADMAP.md item 3 tracks this.
             let source = substitute_scan(query, relation, &input);
             Query::union(input, source)
         }

@@ -732,62 +732,112 @@ impl<R: Read> PullParser<R> {
     }
 }
 
-/// Escapes `s` into a JSON string literal (quotes included) on `f`.
-fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
-    f.write_str("\"")?;
-    for c in s.chars() {
-        match c {
-            '"' => f.write_str("\\\"")?,
-            '\\' => f.write_str("\\\\")?,
-            '\n' => f.write_str("\\n")?,
-            '\r' => f.write_str("\\r")?,
-            '\t' => f.write_str("\\t")?,
-            c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
-            c => write!(f, "{c}")?,
+impl Json {
+    /// Appends the compact, deterministic encoding (no whitespace,
+    /// insertion order) to `out` — the one serializer behind
+    /// [`Display`](fmt::Display) and the server's response bodies.
+    pub fn write_into(&self, out: &mut String) {
+        match self {
+            Json::Null => out.push_str("null"),
+            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            Json::Int(i) => write_int(out, *i),
+            Json::Float(x) => {
+                if x.is_finite() {
+                    use fmt::Write;
+                    let _ = write!(out, "{x}");
+                } else {
+                    // JSON has no Inf/NaN; null is the least-wrong encoding.
+                    out.push_str("null");
+                }
+            }
+            Json::Str(s) => write_escaped(out, s),
+            Json::Arr(items) => {
+                out.push('[');
+                for (i, item) in items.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    item.write_into(out);
+                }
+                out.push(']');
+            }
+            Json::Obj(pairs) => {
+                out.push('{');
+                for (i, (k, v)) in pairs.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    write_escaped(out, k);
+                    out.push(':');
+                    v.write_into(out);
+                }
+                out.push('}');
+            }
         }
     }
-    f.write_str("\"")
+}
+
+/// Appends the decimal digits of `i`, through a digit buffer rather than
+/// the formatting machinery.
+fn write_int(out: &mut String, i: i64) {
+    let mut buf = [0u8; 20];
+    let mut pos = buf.len();
+    let mut n = i.unsigned_abs();
+    loop {
+        pos -= 1;
+        buf[pos] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    if i < 0 {
+        out.push('-');
+    }
+    out.push_str(std::str::from_utf8(&buf[pos..]).expect("ASCII digits"));
+}
+
+/// Whether byte `b` must be escaped inside a JSON string literal.
+fn needs_escape(b: u8) -> bool {
+    b < 0x20 || b == b'"' || b == b'\\'
+}
+
+/// Appends `s` as a JSON string literal (quotes included). Runs of bytes
+/// that need no escape are copied whole; every byte that does is ASCII, so
+/// the runs always split `s` at character boundaries.
+fn write_escaped(out: &mut String, s: &str) {
+    out.push('"');
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if !needs_escape(b) {
+            continue;
+        }
+        out.push_str(&s[run..i]);
+        run = i + 1;
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                const HEX: &[u8; 16] = b"0123456789abcdef";
+                out.push_str("\\u00");
+                out.push(HEX[usize::from(b >> 4)] as char);
+                out.push(HEX[usize::from(b & 0xF)] as char);
+            }
+        }
+    }
+    out.push_str(&s[run..]);
+    out.push('"');
 }
 
 impl fmt::Display for Json {
-    /// Compact, deterministic encoding (no whitespace, insertion order).
+    /// The [`Json::write_into`] encoding.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Json::Null => f.write_str("null"),
-            Json::Bool(b) => write!(f, "{b}"),
-            Json::Int(i) => write!(f, "{i}"),
-            Json::Float(x) => {
-                if x.is_finite() {
-                    write!(f, "{x}")
-                } else {
-                    // JSON has no Inf/NaN; null is the least-wrong encoding.
-                    f.write_str("null")
-                }
-            }
-            Json::Str(s) => write_escaped(f, s),
-            Json::Arr(items) => {
-                f.write_str("[")?;
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        f.write_str(",")?;
-                    }
-                    write!(f, "{item}")?;
-                }
-                f.write_str("]")
-            }
-            Json::Obj(pairs) => {
-                f.write_str("{")?;
-                for (i, (k, v)) in pairs.iter().enumerate() {
-                    if i > 0 {
-                        f.write_str(",")?;
-                    }
-                    write_escaped(f, k)?;
-                    f.write_str(":")?;
-                    write!(f, "{v}")?;
-                }
-                f.write_str("}")
-            }
-        }
+        let mut out = String::new();
+        self.write_into(&mut out);
+        f.write_str(&out)
     }
 }
 

@@ -597,7 +597,11 @@ fn render_response(
         retry_after,
     } = reply;
     let body = ctx.trace.time("encode", || match payload {
-        Payload::Json(json) => json.to_string(),
+        Payload::Json(json) => {
+            let mut body = String::new();
+            json.write_into(&mut body);
+            body
+        }
         Payload::Text(text) => text,
     });
     let mut extra: Vec<(&str, String)> = Vec::new();

@@ -31,7 +31,7 @@ pub use columnar::ColumnarRelation;
 pub use database::Database;
 pub use error::StorageError;
 pub use intern::StringInterner;
-pub use relation::Relation;
+pub use relation::{one_sided_tuples, Relation, Side};
 pub use schema::{Attribute, Schema, SchemaRef};
 pub use tuple::{Tuple, TupleBindings};
 pub use versioned::VersionedDatabase;

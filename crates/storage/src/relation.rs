@@ -1,12 +1,18 @@
-//! Bag-semantics relations.
+//! Bag-semantics relations, and the sort-merge that compares two of them.
 //!
 //! The paper's formalization uses set semantics for reenactment
-//! (Definition 3) but the definitions of statements (Equations 1–4) and the
-//! delta are phrased over sets of tuples. We store relations as bags (the
-//! order of tuples is an implementation detail) and provide both bag and set
-//! style operations; the delta computation in `mahif-history` uses the
-//! set-style operations, matching the paper.
+//! (Definition 3) and phrases the statements (Equations 1–4) and the
+//! delta over sets of tuples. We store relations as bags (the order of
+//! tuples is an implementation detail). Two bags are compared with set
+//! semantics by [`one_sided_tuples`]: both sides sorted by
+//! [`Tuple::total_cmp`], then walked once, reporting each distinct tuple
+//! that occurs on one side only. The delta in `mahif-history` and the
+//! query evaluator's difference are both built on it. A bag delta
+//! (ROADMAP item 2) would count the lengths of equal runs on both sides
+//! instead of skipping them.
 
+use std::borrow::Borrow;
+use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::fmt;
 
@@ -121,22 +127,11 @@ impl Relation {
         self.tuples.iter().any(|t| t == tuple)
     }
 
-    /// Set-semantics difference `self − other`: distinct tuples of `self`
-    /// that do not occur in `other`. This is the building block of the delta
-    /// queries of Section 4/5.2.
-    pub fn set_difference(&self, other: &Relation) -> Relation {
-        let other_set: HashMap<&Tuple, ()> = other.tuples.iter().map(|t| (t, ())).collect();
-        let mut seen: HashMap<&Tuple, ()> = HashMap::new();
-        let mut out = Vec::new();
-        for t in &self.tuples {
-            if !other_set.contains_key(t) && seen.insert(t, ()).is_none() {
-                out.push(t.clone());
-            }
-        }
-        Relation {
-            schema: self.schema.clone(),
-            tuples: out,
-        }
+    /// Sorts the tuples in place by [`Tuple::total_cmp`] — the order
+    /// [`one_sided_tuples`] expects. Tuple order inside a bag carries no
+    /// meaning, so this changes no query answer.
+    pub fn sort(&mut self) {
+        self.tuples.sort_unstable_by(Tuple::total_cmp);
     }
 
     /// Bag union of two union-compatible relations (keeps the left schema).
@@ -195,6 +190,71 @@ impl fmt::Display for Relation {
         }
         Ok(())
     }
+}
+
+/// The side of a two-bag comparison a tuple occurs on alone.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Side {
+    /// Only in the left bag.
+    Left,
+    /// Only in the right bag.
+    Right,
+}
+
+/// Walks two bags sorted by [`Tuple::total_cmp`] once and calls `emit`
+/// for each distinct tuple that occurs on one side only, in ascending
+/// tuple order: set semantics, so a run of equal tuples counts once, and
+/// a tuple present on both sides is never emitted. `total_cmp` reports
+/// `Equal` exactly when `==` holds (NULL equals NULL; values of different
+/// types never compare equal), so this is the set difference taken both
+/// ways.
+pub fn one_sided_tuples<'a, L, R>(
+    left: &'a [L],
+    right: &'a [R],
+    mut emit: impl FnMut(Side, &'a Tuple),
+) where
+    L: Borrow<Tuple>,
+    R: Borrow<Tuple>,
+{
+    debug_assert!(left.is_sorted_by(|a, b| a.borrow().total_cmp(b.borrow()).is_le()));
+    debug_assert!(right.is_sorted_by(|a, b| a.borrow().total_cmp(b.borrow()).is_le()));
+    let (mut i, mut j) = (0, 0);
+    while i < left.len() && j < right.len() {
+        let (l, r) = (left[i].borrow(), right[j].borrow());
+        match l.total_cmp(r) {
+            Ordering::Less => {
+                emit(Side::Left, l);
+                i = run_end(left, i);
+            }
+            Ordering::Greater => {
+                emit(Side::Right, r);
+                j = run_end(right, j);
+            }
+            Ordering::Equal => {
+                i = run_end(left, i);
+                j = run_end(right, j);
+            }
+        }
+    }
+    while i < left.len() {
+        emit(Side::Left, left[i].borrow());
+        i = run_end(left, i);
+    }
+    while j < right.len() {
+        emit(Side::Right, right[j].borrow());
+        j = run_end(right, j);
+    }
+}
+
+/// The index one past the run of tuples equal to `sorted[start]`.
+fn run_end<T: Borrow<Tuple>>(sorted: &[T], start: usize) -> usize {
+    let first = sorted[start].borrow();
+    start
+        + 1
+        + sorted[start + 1..]
+            .iter()
+            .take_while(|t| (*t).borrow() == first)
+            .count()
 }
 
 #[cfg(test)]
@@ -256,17 +316,34 @@ mod tests {
         assert_eq!(counts.get(&dup), Some(&2));
     }
 
+    fn one_sided(left: &Relation, right: &Relation) -> Vec<(Side, Tuple)> {
+        let (mut left, mut right) = (left.clone(), right.clone());
+        left.sort();
+        right.sort();
+        let mut out = Vec::new();
+        one_sided_tuples(&left.tuples, &right.tuples, |side, t| {
+            out.push((side, t.clone()))
+        });
+        out
+    }
+
     #[test]
-    fn set_difference() {
+    fn one_sided_tuples_is_the_set_difference_both_ways() {
         let a = sample();
         let mut b = sample();
-        // Remove one tuple from b.
         b.tuples.remove(0);
-        let d = a.set_difference(&b);
-        assert_eq!(d.len(), 1);
-        assert_eq!(d.tuples[0].value(0), Some(&Value::int(11)));
-        // difference with self is empty
-        assert!(a.set_difference(&a).is_empty());
+        let removed = a.tuples[0].clone();
+        assert_eq!(one_sided(&a, &b), vec![(Side::Left, removed.clone())]);
+        assert_eq!(one_sided(&b, &a), vec![(Side::Right, removed.clone())]);
+        assert!(one_sided(&a, &a).is_empty());
+        // Set semantics: duplicates on either side count once, and a tuple
+        // on both sides is never reported, whatever its multiplicities.
+        let mut dup = a.clone();
+        dup.tuples.extend(a.tuples.iter().cloned());
+        assert!(one_sided(&dup, &a).is_empty());
+        let mut b_dup = b.clone();
+        b_dup.tuples.extend(b.tuples.iter().cloned());
+        assert_eq!(one_sided(&dup, &b_dup), vec![(Side::Left, removed)]);
     }
 
     #[test]

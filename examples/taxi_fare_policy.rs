@@ -15,7 +15,7 @@ use mahif_workload::{Dataset, DatasetKind};
 fn main() {
     // A scaled-down taxi-trips relation (the paper samples 5M / 50M rows from
     // the Chicago open-data portal; we generate 5k synthetic rows with the
-    // same schema shape — see DESIGN.md for the substitution rationale).
+    // same schema shape; see `mahif_workload::Dataset`).
     let dataset = Dataset::generate(DatasetKind::Taxi, 5_000, 2024);
 
     // The fare-policy history that was actually executed: an airport

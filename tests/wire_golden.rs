@@ -1,0 +1,174 @@
+//! The wire encoding, pinned byte for byte. The expected strings are
+//! literals, not the output of the encoder under test, so a change to the
+//! serializer that alters any byte — integer digits, escapes, key order,
+//! separators — fails here even when server and client would agree with
+//! each other. A random-tree round trip checks that what the writer emits
+//! is what the parser reads back.
+
+use proptest::prelude::*;
+
+use mahif::{ImpactSpec, Method, Session};
+use mahif_expr::{DataType, Value};
+use mahif_history::statement::{
+    running_example_database, running_example_history, running_example_u1_prime,
+};
+use mahif_history::{
+    Annotation, DatabaseDelta, DeltaTuple, History, ModificationSet, RelationDelta,
+};
+use mahif_serve::{encode_delta, encode_response, Json};
+use mahif_storage::{Attribute, Schema, Tuple};
+
+fn annotated(annotation: Annotation, values: Vec<Value>) -> DeltaTuple {
+    DeltaTuple {
+        annotation,
+        tuple: Tuple::new(values),
+    }
+}
+
+/// Extreme and negative integers, NULL, booleans, and strings that need
+/// every kind of escape next to ones that need none.
+fn golden_delta() -> DatabaseDelta {
+    let schema = Schema::shared(
+        "Order",
+        vec![
+            Attribute::int("ID"),
+            Attribute::str("Note"),
+            Attribute::int("Fee"),
+            Attribute::new("Paid", DataType::Bool),
+            Attribute::str("Memo"),
+        ],
+    );
+    let order = RelationDelta {
+        relation: "Order".to_string(),
+        schema: schema.clone(),
+        tuples: vec![
+            annotated(
+                Annotation::Minus,
+                vec![
+                    Value::Int(i64::MIN),
+                    Value::str("plain"),
+                    Value::Int(-5),
+                    Value::Bool(true),
+                    Value::Null,
+                ],
+            ),
+            annotated(
+                Annotation::Plus,
+                vec![
+                    Value::Int(-1),
+                    Value::str("quote \" back \\ bell \u{7} tab\t del \u{7f}"),
+                    Value::Int(0),
+                    Value::Bool(false),
+                    Value::str("naïve ☃ 𝄞"),
+                ],
+            ),
+        ],
+    };
+    let z = RelationDelta {
+        relation: "Z \"q\"".to_string(),
+        schema,
+        tuples: vec![annotated(
+            Annotation::Plus,
+            vec![
+                Value::Int(i64::MAX),
+                Value::str(""),
+                Value::Null,
+                Value::Null,
+                Value::str("\n\r\u{1f}\u{0}"),
+            ],
+        )],
+    };
+    DatabaseDelta::from_relations(vec![order, z])
+}
+
+#[test]
+fn delta_encoding_matches_golden_bytes() {
+    let expected = concat!(
+        r#"{"relations":[{"relation":"Order","inserted":[[-1,"quote \" back \\ bell \u0007 tab\t del "#,
+        "\u{7f}",
+        r#"",0,false,"naïve ☃ 𝄞"]],"deleted":[[-9223372036854775808,"plain",-5,true,null]]},"#,
+        r#"{"relation":"Z \"q\"","inserted":[[9223372036854775807,"",null,null,"\n\r\u001f\u0000"]],"deleted":[]}],"tuples":3}"#,
+    );
+    let encoded = encode_delta(&golden_delta());
+    let mut written = String::new();
+    encoded.write_into(&mut written);
+    assert_eq!(written, expected);
+    assert_eq!(encoded.to_string(), expected, "Display is the same writer");
+    assert_eq!(Json::parse(expected).unwrap(), encoded);
+}
+
+#[test]
+fn response_encoding_matches_golden_bytes() {
+    let session = Session::with_history(
+        "retail",
+        running_example_database(),
+        History::new(running_example_history()),
+    )
+    .unwrap();
+    let response = session
+        .on("retail")
+        .modifications(ModificationSet::single_replace(
+            0,
+            running_example_u1_prime(),
+        ))
+        .method(Method::ReenactPsDs)
+        .impact(ImpactSpec::sum_of("Order", "ShippingFee"))
+        .run()
+        .unwrap();
+    // `stats` carries wall-clock fields; everything else is deterministic.
+    let Json::Obj(pairs) = encode_response(&response) else {
+        panic!("a response encodes as an object");
+    };
+    let deterministic = Json::Obj(pairs.into_iter().filter(|(k, _)| k != "stats").collect());
+    let expected = concat!(
+        r#"{"history":"retail","method":"R+PS+DS","scenarios":[{"name":"default","#,
+        r#""delta":{"relations":[{"relation":"Order","inserted":[[12,"Alex","UK",50,10]],"#,
+        r#""deleted":[[12,"Alex","UK",50,5]]}],"tuples":2},"#,
+        r#""impact":{"relation":"Order","metric":"ShippingFee","baseline":17,"plus_total":10,"#,
+        r#""minus_total":5,"rows_added":1,"rows_removed":1,"net_change":5}}]}"#,
+    );
+    assert_eq!(deterministic.to_string(), expected);
+}
+
+/// A string drawn from characters that need escaping, multi-byte ones and
+/// plain ASCII.
+fn arb_string() -> impl Strategy<Value = String> {
+    const POOL: &[char] = &[
+        'a', 'Z', '0', ' ', '"', '\\', '/', '\n', '\r', '\t', '\u{0}', '\u{8}', '\u{c}', '\u{1f}',
+        '\u{7f}', 'é', '☃', '𝄞',
+    ];
+    prop::collection::vec(0usize..POOL.len(), 0..12)
+        .prop_map(|picks| picks.into_iter().map(|i| POOL[i]).collect())
+}
+
+fn arb_json() -> impl Strategy<Value = Json> {
+    let leaf = prop_oneof![
+        Just(Json::Null),
+        Just(Json::Bool(true)),
+        Just(Json::Bool(false)),
+        Just(Json::Int(i64::MIN)),
+        Just(Json::Int(i64::MAX)),
+        (-1_000_000i64..1_000_000).prop_map(Json::Int),
+        // Fractional floats only: an integral one encodes as an integer.
+        (-1000i64..1000).prop_map(|n| Json::Float(n as f64 + 0.25)),
+        arb_string().prop_map(Json::Str),
+    ];
+    leaf.prop_recursive(4, 64, 6, |inner| {
+        prop_oneof![
+            prop::collection::vec(inner.clone(), 0..6).prop_map(Json::Arr),
+            prop::collection::vec((arb_string(), inner), 0..6).prop_map(Json::Obj),
+        ]
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Whatever the writer emits, the parser reads back as the same tree.
+    #[test]
+    fn written_trees_parse_back(tree in arb_json()) {
+        let mut written = String::new();
+        tree.write_into(&mut written);
+        prop_assert_eq!(Json::parse(&written).unwrap(), tree);
+    }
+}

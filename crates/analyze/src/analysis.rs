@@ -2,8 +2,8 @@
 //!
 //! [`HistoryAnalysis::build`] runs once per registered history (inside
 //! `Session::register`) and precomputes everything admission-time checks
-//! need: per-attribute type/nullability inference evolved over the full
-//! version chain, per-statement read/write summaries and the def-use graph
+//! need: per-attribute type/nullability inference evolved statement by
+//! statement through the history, per-statement read/write summaries and the def-use graph
 //! they induce, and a liveness classification (vacuous / shadowed / live)
 //! per statement.
 //!

@@ -5,8 +5,8 @@
 //! time; this crate exploits it **before** the engine runs at all:
 //!
 //! - **At registration** ([`HistoryAnalysis::build`], called once from
-//!   `Session::register`): per-attribute type + nullability inference over
-//!   the full version chain, statement read/write summaries and the def-use
+//!   `Session::register`): per-attribute type + nullability inference
+//!   evolved statement by statement through the history, statement read/write summaries and the def-use
 //!   dependency graph (reusing `mahif_slicing::summaries`), and detection
 //!   of statically dead statements (vacuous conditions, shadowed writes).
 //! - **At admission** ([`HistoryAnalysis::validate`]): unknown relations or

@@ -39,25 +39,24 @@ use crate::stats::{EngineStats, PhaseTimings, WhatIfAnswer};
 /// The query is the borrowed view [`WhatIfRef`] (a `&HistoricalWhatIf`
 /// converts via `Into`): the engine never clones the registered history or
 /// the pre-history state, so a long-lived [`crate::Session`] answers every
-/// request against the state it registered once. `versioned` must be the
-/// version chain obtained by executing `query.history` over
-/// `query.database` (the session maintains it); `current_state` is its
-/// newest version `H(D)`.
+/// request against the state it registered once. `versioned` must hold
+/// `query.database` as `D` and the result of executing `query.history`
+/// over it as `H(D)` (the session maintains it); the naive method reads
+/// only `H(D)`.
 pub fn answer_what_if<'a>(
     query: impl Into<WhatIfRef<'a>>,
     versioned: &VersionedDatabase,
-    current_state: &Database,
     method: Method,
     config: &EngineConfig,
 ) -> Result<WhatIfAnswer, MahifError> {
     let query = query.into();
     match method {
-        Method::Naive => answer_naive(query, current_state),
+        Method::Naive => answer_naive(query, versioned.current()),
         _ => answer_reenactment(query, versioned, method, config),
     }
 }
 
-pub(crate) fn answer_naive(
+fn answer_naive(
     query: WhatIfRef<'_>,
     current_state: &Database,
 ) -> Result<WhatIfAnswer, MahifError> {
@@ -881,30 +880,24 @@ mod tests {
     use mahif_history::{HistoricalWhatIf, Modification, ModificationSet, SetClause, Statement};
     use mahif_storage::Tuple;
 
-    fn setup(modifications: ModificationSet) -> (HistoricalWhatIf, VersionedDatabase, Database) {
+    /// The pair `D`, `H(D)` for `history` over `db`.
+    fn versioned(history: &History, db: &Database) -> VersionedDatabase {
+        VersionedDatabase::new(db.clone(), history.execute(db).unwrap())
+    }
+
+    fn setup(modifications: ModificationSet) -> (HistoricalWhatIf, VersionedDatabase) {
         let db = running_example_database();
         let history = History::new(running_example_history());
-        let versioned = history.execute_versioned(&db).unwrap();
-        let current = versioned.current().clone();
-        (
-            HistoricalWhatIf::new(history, db, modifications),
-            versioned,
-            current,
-        )
+        let versioned = versioned(&history, &db);
+        (HistoricalWhatIf::new(history, db, modifications), versioned)
     }
 
     fn all_methods_agree(modifications: ModificationSet) {
-        let (query, versioned, current) = setup(modifications);
+        let (query, versioned) = setup(modifications);
         let reference = query.answer_by_direct_execution().unwrap();
         for method in Method::all() {
-            let answer = answer_what_if(
-                &query,
-                &versioned,
-                &current,
-                method,
-                &EngineConfig::default(),
-            )
-            .unwrap();
+            let answer =
+                answer_what_if(&query, &versioned, method, &EngineConfig::default()).unwrap();
             assert_eq!(
                 answer.delta,
                 reference,
@@ -971,8 +964,7 @@ mod tests {
             ge(attr("Price"), lit(52)),
         ));
         let history = History::new(statements);
-        let versioned = history.execute_versioned(&db).unwrap();
-        let current = versioned.current().clone();
+        let versioned = versioned(&history, &db);
         let query = HistoricalWhatIf::new(
             history,
             db,
@@ -985,7 +977,7 @@ mod tests {
                     disable_insert_split: disable_split,
                     ..Default::default()
                 };
-                let answer = answer_what_if(&query, &versioned, &current, method, &config).unwrap();
+                let answer = answer_what_if(&query, &versioned, method, &config).unwrap();
                 assert_eq!(
                     answer.delta,
                     reference,
@@ -1003,7 +995,7 @@ mod tests {
         // the original side exactly once (per relation).
         let db = running_example_database();
         let history = History::new(running_example_history());
-        let versioned = history.execute_versioned(&db).unwrap();
+        let versioned = versioned(&history, &db);
         let thresholds = [55i64, 60, 65, 70];
         let make = |t: i64| {
             Statement::update(
@@ -1063,14 +1055,7 @@ mod tests {
             assert_eq!(answer.timings.data_slicing, Duration::ZERO);
             // And match the single-query engine byte for byte on the delta.
             let query = HistoricalWhatIf::new(history.clone(), db.clone(), mods);
-            let single = answer_what_if(
-                &query,
-                &versioned,
-                versioned.current(),
-                Method::ReenactPsDs,
-                &config,
-            )
-            .unwrap();
+            let single = answer_what_if(&query, &versioned, Method::ReenactPsDs, &config).unwrap();
             assert_eq!(answer.delta, single.delta, "member {i} vs single");
             assert!(!single.stats.shared_work, "singles fold their own work");
             assert_eq!(single.stats.original_reenactments, 1);
@@ -1081,7 +1066,7 @@ mod tests {
     fn empty_group_plan_is_rejected_and_empty_positions_answer_empty() {
         let db = running_example_database();
         let history = History::new(running_example_history());
-        let versioned = history.execute_versioned(&db).unwrap();
+        let versioned = versioned(&history, &db);
         let config = EngineConfig::default();
         assert!(GroupPlan::build(
             &[],
@@ -1112,7 +1097,7 @@ mod tests {
 
     #[test]
     fn greedy_slicer_configuration() {
-        let (query, versioned, current) = setup(ModificationSet::single_replace(
+        let (query, versioned) = setup(ModificationSet::single_replace(
             0,
             running_example_u1_prime(),
         ));
@@ -1121,22 +1106,20 @@ mod tests {
             use_greedy_slicer: true,
             ..Default::default()
         };
-        let answer =
-            answer_what_if(&query, &versioned, &current, Method::ReenactPsDs, &config).unwrap();
+        let answer = answer_what_if(&query, &versioned, Method::ReenactPsDs, &config).unwrap();
         assert_eq!(answer.delta, reference);
         assert!(answer.stats.solver_calls > 0);
     }
 
     #[test]
     fn stats_reflect_slicing() {
-        let (query, versioned, current) = setup(ModificationSet::single_replace(
+        let (query, versioned) = setup(ModificationSet::single_replace(
             0,
             running_example_u1_prime(),
         ));
         let answer = answer_what_if(
             &query,
             &versioned,
-            &current,
             Method::ReenactPsDs,
             &EngineConfig::default(),
         )
@@ -1152,7 +1135,6 @@ mod tests {
         let plain = answer_what_if(
             &query,
             &versioned,
-            &current,
             Method::Reenact,
             &EngineConfig::default(),
         )
@@ -1164,16 +1146,10 @@ mod tests {
 
     #[test]
     fn empty_modifications_give_empty_answer() {
-        let (query, versioned, current) = setup(ModificationSet::default());
+        let (query, versioned) = setup(ModificationSet::default());
         for method in Method::all() {
-            let answer = answer_what_if(
-                &query,
-                &versioned,
-                &current,
-                method,
-                &EngineConfig::default(),
-            )
-            .unwrap();
+            let answer =
+                answer_what_if(&query, &versioned, method, &EngineConfig::default()).unwrap();
             assert!(answer.delta.is_empty(), "method {}", method.label());
         }
     }

@@ -23,7 +23,7 @@ use mahif_symbolic::SymbolicError;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum Phase {
-    /// Registering a history with a session (executing the version chain).
+    /// Registering a history with a session (executing it to `H(D)`).
     Register,
     /// Building the request (parsing what-if SQL, resolving names).
     Build,

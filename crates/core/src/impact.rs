@@ -111,7 +111,7 @@ pub struct ImpactReport {
     pub groups: Vec<GroupImpact>,
     /// The metric total over the *current* database state `H(D)`, when a
     /// baseline was requested (see [`ImpactReport::with_baseline`] /
-    /// [`crate::Mahif::what_if_impact`]).
+    /// [`crate::WhatIfRequest::impact`]).
     pub baseline: Option<i64>,
 }
 

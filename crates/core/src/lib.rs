@@ -18,7 +18,8 @@
 //!
 //! 1. **Register** expensive state once. [`Session::register`] names a
 //!    `(D, H)` pair and executes the history a single time to materialize
-//!    the version chain. A session holds any number of histories.
+//!    the two states `D` and `H(D)`. A session holds any number of
+//!    histories.
 //! 2. **Ask** many cheap hypotheticals. [`Session::on`] starts a fluent
 //!    [`WhatIfRequest`]; `run()` answers a single query, `run_batch(..)` a
 //!    whole scenario sweep. Either way the request flows through the one
@@ -64,22 +65,6 @@
 //! assert_eq!(response.delta().len(), 2);
 //! ```
 //!
-//! ## Migrating from `Mahif`
-//!
-//! The single-history [`Mahif`] façade is a deprecated shim over a
-//! one-history session; its results are byte-identical. Ports are
-//! mechanical:
-//!
-//! | pre-0.2 call | session form |
-//! |---|---|
-//! | `Mahif::new(db, history)?` | `Session::with_history("name", db, history)?` |
-//! | `mahif.what_if(&mods, method)?` | `session.on("name").modifications(mods).method(method).run()?.into_answer()` |
-//! | `mahif.what_if_sql(script, method)?` | `session.on("name").sql(script).method(method).run()?.into_answer()` |
-//! | `mahif.what_if_configured(&mods, method, &cfg)?` | `session.on("name").modifications(mods).method(method).config(cfg).run()?.into_answer()` |
-//! | `mahif.what_if_impact(&mods, method, &spec)?` | `session.on("name").modifications(mods).method(method).impact(spec).run()?` (report in `response.impact()`) |
-//! | `mahif.current_state()` etc. | `session.history("name")?.current_state()` etc. |
-//! | `ScenarioSet::new(&mahif)` | `ScenarioSet::over(&session, "name")` (crate `mahif-scenario`) |
-//!
 //! ## Execution methods
 //!
 //! | method | description |
@@ -105,7 +90,6 @@ pub mod config;
 pub mod engine;
 pub mod error;
 pub mod impact;
-pub mod mahif;
 mod pool;
 pub mod provision;
 pub mod request;
@@ -117,8 +101,6 @@ pub use config::{Budget, Deadline, EngineConfig, Method, RefinePolicy};
 pub use engine::{answer_normalized, answer_what_if, compute_program_slice, GroupPlan};
 pub use error::{BudgetBreach, Error, ErrorKind, MahifError, Phase};
 pub use impact::{impact_of, GroupImpact, ImpactReport, ImpactSpec};
-#[allow(deprecated)]
-pub use mahif::Mahif;
 pub use mahif_analyze::{AnalysisError, HistoryAnalysis};
 pub use mahif_query::QueryError;
 pub use provision::{CachedPlan, PlanCache, PlanKey, Provisioned, SessionConfig};

@@ -2,7 +2,8 @@
 //!
 //! Plain scoped threads with an atomic work index — no external dependency —
 //! so a batch of k scenarios executes on `min(k, threads)` workers while the
-//! registered history and version chain stay borrowed, never cloned.
+//! registered history and its states `D` and `H(D)` stay borrowed, never
+//! cloned.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;

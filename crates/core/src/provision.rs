@@ -527,7 +527,7 @@ mod tests {
     use mahif_expr::builder::*;
     use mahif_history::statement::{running_example_database, running_example_history};
     use mahif_history::{ModificationSet, SetClause, WhatIfRef};
-    use mahif_storage::Tuple;
+    use mahif_storage::{Tuple, VersionedDatabase};
 
     fn provisioned() -> Provisioned {
         let history = History::new(running_example_history());
@@ -552,7 +552,7 @@ mod tests {
     fn entry_for(t: i64, generation: u64) -> (Arc<CachedPlan>, History) {
         let db = running_example_database();
         let history = History::new(running_example_history());
-        let versioned = history.execute_versioned(&db).unwrap();
+        let versioned = VersionedDatabase::new(db.clone(), history.execute(&db).unwrap());
         let mods = ModificationSet::single_replace(0, threshold(t));
         let normalized = WhatIfRef::new(&history, versioned.initial(), &mods)
             .normalize()

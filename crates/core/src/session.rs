@@ -2,12 +2,13 @@
 //! service core.
 //!
 //! A [`Session`] registers any number of **named** histories — each
-//! registration executes the history once to materialize the version chain
-//! (the deployment equivalent is a DBMS with time travel plus the statement
-//! log) — and then answers what-if requests against them. Requests are
-//! built fluently with [`Session::on`] and executed by the single
-//! [`Session::execute`] funnel: a single query is a batch of one, so
-//! shared-slice grouping and the worker pool apply to every entry point.
+//! registration executes the history once to materialize the two states
+//! `D` and `H(D)` (the deployment equivalent is a DBMS with time travel
+//! plus the statement log) — and then answers what-if requests against
+//! them. Requests are built fluently with [`Session::on`] and executed by
+//! the single [`Session::execute`] funnel: a single query is a batch of
+//! one, so shared-slice grouping and the worker pool apply to every entry
+//! point.
 //! The engine borrows the registered history and initial state per request
 //! — answering is O(answer), never O(|H| + |D|) in copies — which
 //! [`Session::stats`] makes observable: `version_chains_built` stays at the
@@ -91,7 +92,7 @@ use crate::response::{BatchStats, Response, ScenarioResponse};
 use crate::stats::{EngineStats, PhaseTimings, WhatIfAnswer};
 
 /// One history registered with a [`Session`]: the statement log plus the
-/// version chain materialized at registration.
+/// two states `D` and `H(D)` materialized at registration.
 #[derive(Debug, Clone)]
 pub struct RegisteredHistory {
     name: String,
@@ -116,7 +117,7 @@ impl RegisteredHistory {
         &self.history
     }
 
-    /// The full version chain (time travel).
+    /// The two states `D` and `H(D)` (time travel).
     pub fn versions(&self) -> &VersionedDatabase {
         &self.versioned
     }
@@ -218,7 +219,7 @@ impl Clone for Counters {
 pub struct SessionStats {
     /// Histories currently registered.
     pub histories: usize,
-    /// Version chains materialized — increments only in
+    /// Registrations materialized — increments only in
     /// [`Session::register`]. Staying constant across requests is the
     /// observable form of the zero-clone guarantee: no request re-executes
     /// or re-clones a registered history.
@@ -636,9 +637,9 @@ impl Session {
 
     /// Registers a database and the transactional history that was executed
     /// over it under `name`. The history is executed once to materialize
-    /// the version chain; every later request borrows that chain. Takes
-    /// `&self`: registration is a concurrent service operation, safe from
-    /// any thread sharing the session.
+    /// the two states `D` and `H(D)`; every later request borrows them.
+    /// Takes `&self`: registration is a concurrent service operation, safe
+    /// from any thread sharing the session.
     pub fn register(
         &self,
         name: impl Into<String>,
@@ -652,24 +653,24 @@ impl Session {
                 .on_history(name)
         };
         // Cheap pre-check under the read lock: an already-taken name must
-        // not pay for materializing a version chain it will then discard.
+        // not pay for executing a history it will then discard.
         if self.registry().iter().any(|h| h.name == name) {
             return Err(duplicate(name));
         }
         // Intern repeated string values across the registered state before
-        // materializing the version chain: the version snapshots, the
-        // columnar string pools and every reenactment result built from
-        // them then share one allocation per distinct string instead of
-        // re-cloning it per tuple. Equality, hashing and ordering are
+        // executing the history: both registered states, the columnar
+        // string pools and every reenactment result built from them then
+        // share one allocation per distinct string instead of re-cloning it
+        // per tuple. Equality, hashing and ordering are
         // untouched (see `mahif_storage::StringInterner`).
         let mut initial = initial;
         mahif_storage::StringInterner::new().intern_database(&mut initial);
-        // Materialize the version chain outside the registry lock — it is
-        // the expensive part, and other threads' requests must not stall on
-        // it. The authoritative duplicate check runs again under the write
+        // Execute the history outside the registry lock — it is the
+        // expensive part, and other threads' requests must not stall on it.
+        // The authoritative duplicate check runs again under the write
         // lock, so two racing registrations of one name still resolve to
         // exactly one winner.
-        let versioned = history.execute_versioned(&initial).map_err(|e| {
+        let current = history.execute(&initial).map_err(|e| {
             Error::from(e)
                 .in_phase(Phase::Register)
                 .on_history(name.clone())
@@ -688,11 +689,11 @@ impl Session {
         histories.push(Arc::new(RegisteredHistory {
             name,
             history,
-            versioned,
+            versioned: VersionedDatabase::new(initial, current),
             provisioned,
         }));
         // Commit the counter while still holding the registry write lock so
-        // a concurrent `stats()` sees the new history and its version chain
+        // a concurrent `stats()` sees the new history and its registration
         // together (see `Counters`).
         self.counters.commit(|c| c.version_chains_built += 1);
         Ok(self)
@@ -794,10 +795,9 @@ impl Session {
     /// Executes a request through the explicit three-phase lifecycle
     /// (admit → plan → execute; see the [module docs](self)). This is the
     /// single funnel every public entry point goes through — `run()`,
-    /// `run_batch(..)`, the deprecated [`crate::Mahif`] shim,
-    /// `mahif-scenario`'s `ScenarioSet` and any serving layer all end here,
-    /// so batch optimizations and budget enforcement reach every entry
-    /// point.
+    /// `run_batch(..)`, `mahif-scenario`'s `ScenarioSet` and any serving
+    /// layer all end here, so batch optimizations and budget enforcement
+    /// reach every entry point.
     pub fn execute(&self, request: WhatIfRequest<'_>) -> Result<Response, Error> {
         let parts = request.into_parts()?;
         let admitted = self.admit(parts)?;
@@ -1214,14 +1214,8 @@ impl Session {
                         registered.versioned.initial(),
                         scenarios[i].modifications(),
                     );
-                    answer_what_if(
-                        query,
-                        &registered.versioned,
-                        registered.versioned.current(),
-                        method,
-                        config,
-                    )
-                    .map_err(|e| req.context(e, Phase::Execution, &scenarios[i]))
+                    answer_what_if(query, &registered.versioned, method, config)
+                        .map_err(|e| req.context(e, Phase::Execution, &scenarios[i]))
                 })?;
                 stats.execution = exec_start.elapsed();
                 answers
@@ -1707,11 +1701,39 @@ mod tests {
         let reg = s.history("retail").unwrap();
         assert_eq!(reg.name(), "retail");
         assert_eq!(reg.history().len(), 3);
-        assert_eq!(reg.versions().version_count(), 4);
-        assert_eq!(reg.initial_state().total_tuples(), 4);
+        let db = running_example_database();
+        assert!(reg.initial_state().set_eq(&db));
+        assert!(reg
+            .current_state()
+            .set_eq(&reg.history().execute(&db).unwrap()));
+        // Figure 3: the current state has Jack's fee waived.
+        let fee = reg.current_state().relation("Order").unwrap().tuples[2].value(4);
+        assert_eq!(fee, Some(&mahif_expr::Value::int(0)));
         assert_eq!(s.stats().version_chains_built, 1);
         assert_eq!(s.len(), 1);
         assert!(!s.is_empty());
+    }
+
+    #[test]
+    fn failed_registration_leaves_the_session_unchanged() {
+        let s = session();
+        let broken = mahif_sqlparse::parse_history("UPDATE Nope SET x = 1 WHERE true;").unwrap();
+        let err = s
+            .register("broken", running_example_database(), broken)
+            .unwrap_err();
+        assert_eq!(err.phase, Some(Phase::Register));
+        assert_eq!(err.history.as_deref(), Some("broken"));
+        assert_eq!(s.len(), 1);
+        assert_eq!(s.stats().version_chains_built, 1);
+        // Nothing of the failed attempt holds the name.
+        s.register(
+            "broken",
+            running_example_database(),
+            History::new(running_example_history()),
+        )
+        .unwrap();
+        assert_eq!(s.len(), 2);
+        assert_eq!(s.stats().version_chains_built, 2);
     }
 
     #[test]
@@ -1754,7 +1776,8 @@ mod tests {
         assert_eq!(s.len(), 2);
         assert_eq!(handle.current_state().total_tuples(), 4);
         assert_eq!(s.stats().histories, 2);
-        // The chain counter is monotonic — unregistration does not undo it.
+        // The registration counter is monotonic — unregistration does not
+        // undo it.
         assert_eq!(s.stats().version_chains_built, 3);
 
         // Requests against the removed name now fail; the name is free for

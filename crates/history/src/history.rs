@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use mahif_storage::{Database, VersionedDatabase};
+use mahif_storage::Database;
 
 use crate::error::HistoryError;
 use crate::statement::Statement;
@@ -117,18 +117,6 @@ impl History {
         Ok(current)
     }
 
-    /// Executes the history recording every intermediate state, producing the
-    /// time-travel substrate: version `i` is `D_i = H_i(D)`.
-    pub fn execute_versioned(&self, db: &Database) -> Result<VersionedDatabase, HistoryError> {
-        let mut versioned = VersionedDatabase::new(db.clone());
-        let mut current = db.clone();
-        for s in &self.statements {
-            current = s.apply(&current)?;
-            versioned.push_version(current.clone());
-        }
-        Ok(versioned)
-    }
-
     /// Positions (0-based) of the statements that are inserts.
     pub fn insert_positions(&self) -> Vec<usize> {
         self.statements
@@ -234,16 +222,10 @@ mod tests {
     }
 
     #[test]
-    fn execute_versioned_records_all_states() {
+    fn prefix_execution_gives_the_state_after_u1() {
+        // The state after u1: the fees of orders 12 and 13 are 0.
         let db = running_example_database();
-        let versioned = h().execute_versioned(&db).unwrap();
-        assert_eq!(versioned.version_count(), 4);
-        // Version 0 is the original database.
-        assert!(versioned.at(0).unwrap().set_eq(&db));
-        // Version 3 equals direct execution.
-        assert!(versioned.current().set_eq(&h().execute(&db).unwrap()));
-        // Version 1 is the state after u1: fee of order 12 and 13 is 0.
-        let v1 = versioned.at(1).unwrap();
+        let v1 = h().prefix(1).execute(&db).unwrap();
         let fees: Vec<i64> = v1
             .relation("Order")
             .unwrap()

@@ -204,17 +204,6 @@ impl<'a> ScenarioSet<'a> {
         }
     }
 
-    /// Creates an empty scenario set over a legacy [`mahif::Mahif`]
-    /// middleware (its single registered history).
-    #[deprecated(
-        since = "0.2.0",
-        note = "use ScenarioSet::over(&session, history_name)"
-    )]
-    #[allow(deprecated)]
-    pub fn new(mahif: &'a mahif::Mahif) -> Self {
-        ScenarioSet::over(mahif.session(), mahif::Mahif::HISTORY)
-    }
-
     /// Registers a scenario; names must be unique within the set.
     pub fn add(&mut self, scenario: Scenario) -> Result<&mut Self, ScenarioError> {
         if self.scenarios.iter().any(|s| s.name() == scenario.name()) {
@@ -263,8 +252,8 @@ impl<'a> ScenarioSet<'a> {
 
     /// Answers every scenario by funneling the whole set into
     /// [`Session::execute`]: normalization is shared, scenario groups share
-    /// one program slice each, the registered version chain is borrowed
-    /// (never cloned), and scenarios run in parallel. Re-answering the same
+    /// one program slice each, the registered states `D` and `H(D)` are
+    /// borrowed (never cloned), and scenarios run in parallel. Re-answering the same
     /// (or an overlapping) set against an unchanged history additionally
     /// reuses the session's provisioning cache (`mahif::provision`), which
     /// skips slicing and plan construction entirely — the interactive
@@ -540,29 +529,5 @@ mod tests {
             .run()
             .unwrap();
         assert_eq!(batch.answers[0].answer.delta, *reference.delta());
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn legacy_constructor_still_works() {
-        let mahif = mahif::Mahif::new(
-            running_example_database(),
-            History::new(running_example_history()),
-        )
-        .unwrap();
-        let mut set = ScenarioSet::new(&mahif);
-        set.add(Scenario::new(
-            "a",
-            ModificationSet::single_replace(0, running_example_u1_prime()),
-        ))
-        .unwrap();
-        let batch = set.answer_all(Method::ReenactPsDs).unwrap();
-        let reference = mahif
-            .what_if(
-                &ModificationSet::single_replace(0, running_example_u1_prime()),
-                Method::ReenactPsDs,
-            )
-            .unwrap();
-        assert_eq!(batch.answers[0].answer.delta, reference.delta);
     }
 }

@@ -25,13 +25,6 @@ pub enum StorageError {
     },
     /// A relation with this name already exists.
     DuplicateRelation(String),
-    /// The requested database version does not exist.
-    UnknownVersion {
-        /// Requested version.
-        requested: usize,
-        /// Number of available versions.
-        available: usize,
-    },
 }
 
 impl fmt::Display for StorageError {
@@ -54,13 +47,6 @@ impl fmt::Display for StorageError {
                 "arity mismatch for relation `{relation}`: expected {expected}, got {actual}"
             ),
             StorageError::DuplicateRelation(r) => write!(f, "relation `{r}` already exists"),
-            StorageError::UnknownVersion {
-                requested,
-                available,
-            } => write!(
-                f,
-                "unknown database version {requested} (only {available} versions recorded)"
-            ),
         }
     }
 }
@@ -83,11 +69,5 @@ mod tests {
         }
         .to_string()
         .contains("expected 3"));
-        assert!(StorageError::UnknownVersion {
-            requested: 9,
-            available: 2
-        }
-        .to_string()
-        .contains("9"));
     }
 }

@@ -10,9 +10,9 @@
 //! * [`Schema`], [`Tuple`], [`Relation`] — bag-semantics relations over the
 //!   value domain of [`mahif_expr::Value`];
 //! * [`Database`] — a named collection of relations;
-//! * [`VersionedDatabase`] — a database with a snapshot per history position,
-//!   which is how the "time travel" access to `D` (the state before the first
-//!   modified statement) is provided to the what-if engine.
+//! * [`VersionedDatabase`] — the two states `D` and `H(D)`, which is how the
+//!   "time travel" access to `D` (the state before the history) is provided
+//!   to the what-if engine.
 //!
 //! Query evaluation (b) lives in `mahif-query`.
 

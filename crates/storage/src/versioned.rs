@@ -2,120 +2,35 @@
 //!
 //! The paper assumes the backend DBMS supports time travel so that the state
 //! `D` of the database *before* the first modified statement can be accessed
-//! (Section 1, Section 4). A [`VersionedDatabase`] records a snapshot of the
-//! database after every statement of the transactional history: version `0`
-//! is the initial state, version `i` is the state after the `i`-th statement
-//! (`D_i = H_i(D)` in the paper's notation).
-//!
-//! Snapshots are full copies. This is deliberate: the naive algorithm's cost
-//! of copying data is part of what the paper measures, and cheap structural
-//! sharing would distort that comparison. The optimized (reenactment-based)
-//! algorithms only ever read two snapshots: the initial one and the latest.
+//! (Section 1, Section 4). A [`VersionedDatabase`] holds exactly the two
+//! states the engine reads: `D`, the initial state before the transactional
+//! history, and `H(D)`, the state after it. Reenactment reads both; the
+//! naive method reads only `H(D)`. Intermediate states are never kept.
 
 use crate::database::Database;
-use crate::error::StorageError;
 
-/// A database plus the history of its past states.
-#[derive(Debug, Clone, Default)]
+/// The two database states a registered history is answered against: `D`
+/// before the history and `H(D)` after it.
+#[derive(Debug, Clone)]
 pub struct VersionedDatabase {
-    versions: Vec<Database>,
+    initial: Database,
+    current: Database,
 }
 
 impl VersionedDatabase {
-    /// Starts version tracking from an initial database state (version 0).
-    pub fn new(initial: Database) -> Self {
-        VersionedDatabase {
-            versions: vec![initial],
-        }
+    /// Pairs the state `initial` (`D`) with the state `current` (`H(D)`)
+    /// produced by executing the history over it.
+    pub fn new(initial: Database, current: Database) -> Self {
+        VersionedDatabase { initial, current }
     }
 
-    /// Number of recorded versions (at least 1).
-    pub fn version_count(&self) -> usize {
-        self.versions.len()
-    }
-
-    /// Index of the newest version.
-    pub fn current_version(&self) -> usize {
-        self.versions.len() - 1
-    }
-
-    /// The newest database state.
-    pub fn current(&self) -> &Database {
-        self.versions
-            .last()
-            .expect("a versioned database always has at least one version")
-    }
-
-    /// Time travel: the database state at `version` (0 = initial state).
-    pub fn at(&self, version: usize) -> Result<&Database, StorageError> {
-        self.versions
-            .get(version)
-            .ok_or(StorageError::UnknownVersion {
-                requested: version,
-                available: self.versions.len(),
-            })
-    }
-
-    /// Records a new version (the state after executing one more statement).
-    pub fn push_version(&mut self, db: Database) {
-        self.versions.push(db);
-    }
-
-    /// The initial state (version 0) — `D` in the paper's notation.
+    /// The initial state — `D` in the paper's notation.
     pub fn initial(&self) -> &Database {
-        &self.versions[0]
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::relation::Relation;
-    use crate::schema::{Attribute, Schema};
-    use mahif_expr::Value;
-
-    fn db_with_price(p: i64) -> Database {
-        let schema = Schema::shared("R", vec![Attribute::int("Price")]);
-        let mut r = Relation::empty(schema);
-        r.insert_values([Value::int(p)]).unwrap();
-        let mut d = Database::new();
-        d.add_relation(r).unwrap();
-        d
+        &self.initial
     }
 
-    #[test]
-    fn versions_accumulate() {
-        let mut v = VersionedDatabase::new(db_with_price(10));
-        assert_eq!(v.version_count(), 1);
-        v.push_version(db_with_price(20));
-        v.push_version(db_with_price(30));
-        assert_eq!(v.version_count(), 3);
-        assert_eq!(v.current_version(), 2);
-    }
-
-    #[test]
-    fn time_travel_returns_old_states() {
-        let mut v = VersionedDatabase::new(db_with_price(10));
-        v.push_version(db_with_price(20));
-        let initial = v.at(0).unwrap();
-        assert_eq!(
-            initial.relation("R").unwrap().tuples[0].value(0),
-            Some(&Value::int(10))
-        );
-        let current = v.current();
-        assert_eq!(
-            current.relation("R").unwrap().tuples[0].value(0),
-            Some(&Value::int(20))
-        );
-        assert_eq!(v.initial(), v.at(0).unwrap());
-    }
-
-    #[test]
-    fn unknown_version_errors() {
-        let v = VersionedDatabase::new(db_with_price(10));
-        assert!(matches!(
-            v.at(5),
-            Err(StorageError::UnknownVersion { requested: 5, .. })
-        ));
+    /// The state after the whole history — `H(D)` in the paper's notation.
+    pub fn current(&self) -> &Database {
+        &self.current
     }
 }

@@ -7,9 +7,9 @@
 //! of the history.
 //!
 //! The workflow is register-once / ask-many: a [`Session`] materializes the
-//! version chain when the history is registered, and every what-if request
-//! (built fluently with `session.on(..)`) borrows that state — no per-query
-//! copies of the history or database.
+//! states `D` and `H(D)` when the history is registered, and every what-if
+//! request (built fluently with `session.on(..)`) borrows them — no
+//! per-query copies of the history or database.
 //!
 //! Run with:
 //! ```text
@@ -28,8 +28,8 @@ fn main() {
     let history = History::new(running_example_history());
     println!("History:\n{history}");
 
-    // Register both under a name; this materializes the version chain used
-    // for time travel, exactly once.
+    // Register both under a name; this materializes the two states `D` and
+    // `H(D)` used for time travel, exactly once.
     let session = Session::with_history("retail", database, history).expect("history executes");
     let retail = session.history("retail").unwrap();
     println!("Current state (Figure 3):\n{}", retail.current_state());
@@ -64,7 +64,7 @@ fn main() {
     // The session registered the history once, no matter how many requests ran.
     let stats = session.stats();
     println!(
-        "session: {} request(s) answered over {} registered version chain(s)",
+        "session: {} request(s) answered over {} registration(s)",
         stats.requests, stats.version_chains_built
     );
 }

@@ -1,19 +1,15 @@
 //! Integration tests for the `Session`/`WhatIfRequest` redesign:
 //!
-//! * the deprecated `Mahif` shim is byte-identical to a hand-built session
-//!   (it funnels into the same `Session::execute` path);
 //! * a session answers k sweep queries without re-executing or re-cloning
-//!   the registered version chain (observable via `Session::stats`);
+//!   the registered states `D` and `H(D)` (observable via `Session::stats`);
 //! * error paths surface the unified `mahif::Error` and its `Display`
 //!   names the offending scenario and history;
 //! * `Method` round-trips its paper labels through `Display`/`FromStr`.
 
 use mahif::{ErrorKind, Method, Session};
 use mahif_expr::builder::*;
-use mahif_history::statement::{
-    running_example_database, running_example_history, running_example_u1_prime,
-};
-use mahif_history::{History, ModificationSet, SetClause, Statement};
+use mahif_history::statement::{running_example_database, running_example_history};
+use mahif_history::{History, SetClause, Statement};
 
 fn retail_session() -> Session {
     Session::with_history(
@@ -32,70 +28,11 @@ fn threshold(t: i64) -> Statement {
     )
 }
 
-/// Acceptance criterion: the deprecated shim's answers are byte-identical
-/// to the session's, for every method, for plain and SQL and impact calls.
-#[test]
-#[allow(deprecated)]
-fn deprecated_shim_is_byte_identical_to_session() {
-    let mahif = mahif::Mahif::new(
-        running_example_database(),
-        History::new(running_example_history()),
-    )
-    .unwrap();
-    let session = retail_session();
-    let mods = ModificationSet::single_replace(0, running_example_u1_prime());
-
-    for method in Method::all() {
-        let shim = mahif.what_if(&mods, method).unwrap();
-        let new = session
-            .on("retail")
-            .modifications(mods.clone())
-            .method(method)
-            .run()
-            .unwrap();
-        assert_eq!(&shim.delta, new.delta(), "method {method}");
-        assert_eq!(
-            shim.stats.statements_reenacted,
-            new.answer().stats.statements_reenacted,
-            "method {method}"
-        );
-        assert_eq!(
-            shim.stats.input_tuples,
-            new.answer().stats.input_tuples,
-            "method {method}"
-        );
-    }
-
-    let script = "REPLACE STATEMENT 1 WITH UPDATE Order SET ShippingFee = 0 WHERE Price >= 60";
-    let shim_sql = mahif.what_if_sql(script, Method::ReenactPsDs).unwrap();
-    let new_sql = session
-        .on("retail")
-        .sql(script)
-        .method(Method::ReenactPsDs)
-        .run()
-        .unwrap();
-    assert_eq!(&shim_sql.delta, new_sql.delta());
-
-    let spec = mahif::ImpactSpec::sum_of("Order", "ShippingFee");
-    let (shim_answer, shim_report) = mahif
-        .what_if_impact(&mods, Method::ReenactPsDs, &spec)
-        .unwrap();
-    let new_impact = session
-        .on("retail")
-        .modifications(mods.clone())
-        .method(Method::ReenactPsDs)
-        .impact(spec)
-        .run()
-        .unwrap();
-    assert_eq!(&shim_answer.delta, new_impact.delta());
-    assert_eq!(Some(&shim_report), new_impact.impact());
-}
-
 /// Regression for the borrow refactor: answering k sweep queries neither
-/// re-executes nor re-clones the registered version chain — the session
-/// materializes it exactly once at registration.
+/// re-executes nor re-clones the registered states `D` and `H(D)` — the
+/// session materializes them exactly once at registration.
 #[test]
-fn k_sweep_queries_reuse_the_registered_version_chain() {
+fn k_sweep_queries_reuse_the_registered_states() {
     let session = retail_session();
     assert_eq!(session.stats().version_chains_built, 1);
 
@@ -119,7 +56,7 @@ fn k_sweep_queries_reuse_the_registered_version_chain() {
     assert_eq!(stats.scenarios_answered, thresholds.len() as u64);
 
     // The same sweep as one batch: one more request, one shared slice for
-    // all k scenarios, and still exactly one version chain.
+    // all k scenarios, and still exactly one registration materialized.
     let response = session
         .on("retail")
         .method(Method::ReenactPsDs)

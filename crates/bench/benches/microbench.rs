@@ -196,74 +196,12 @@ fn bench_batch_scenarios(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_batch_group_plan(c: &mut Criterion) {
-    // Group execution plans vs the pre-group-plan shared-slice baseline: a
-    // k ∈ {8, 32} sweep over the same history, answered (a) with one
-    // original-side reenactment per (group, relation) — the default — and
-    // (b) with `disable_group_reenactment`, where every member reenacts the
-    // original itself (slices still shared). Identical answers; the numbers
-    // are recorded in `BENCH_batch.json` at the repo root.
-    //
-    // Deliberately larger data and fewer statements than `setup()`: program
-    // slicing is shared by both variants, so a slicing-dominated workload
-    // would bury the reenactment difference the group plans change.
-    let dataset = Dataset::generate(DatasetKind::Taxi, 5_000, 7);
-    let workload = WorkloadSpec::default().with_updates(12).generate(&dataset);
-    // Cache-disabled for the same reason as `batch_scenarios`: the shared
-    // variant would otherwise answer iterations 2+ from the provisioning
-    // cache (the ablation variant is cache-ineligible), turning the
-    // group-plan comparison into a cache benchmark.
-    let session = Session::with_config(mahif::SessionConfig::disabled());
-    session
-        .register("bench", dataset.database.clone(), workload.history.clone())
-        .unwrap();
-    println!(
-        "environment: cores={} (effective parallelism of the mt cases)",
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    );
-
-    let mut group = c.benchmark_group("batch_group_plan");
-    group.sample_size(10);
-    for k in [8usize, 32] {
-        let sweep = workload.sweep_variants(k);
-        // Single-threaded first: with one worker, the wall-clock difference
-        // is exactly the work the group plan saves (k−1 original-side
-        // reenactments per relation). The parallel runs show the same
-        // effect damped by idle workers hiding the serial saving.
-        for (label, threads) in [("1t", 1usize), ("mt", 0)] {
-            group.bench_function(format!("shared_original_k{k}_{label}"), |b| {
-                b.iter(|| {
-                    session
-                        .on("bench")
-                        .method(Method::ReenactPsDs)
-                        .parallelism(threads)
-                        .run_batch(sweep.iter().map(|(name, m)| (name.clone(), m.clone())))
-                        .unwrap()
-                })
-            });
-            group.bench_function(format!("unshared_original_k{k}_{label}"), |b| {
-                b.iter(|| {
-                    session
-                        .on("bench")
-                        .method(Method::ReenactPsDs)
-                        .parallelism(threads)
-                        .without_group_reenactment()
-                        .run_batch(sweep.iter().map(|(name, m)| (name.clone(), m.clone())))
-                        .unwrap()
-                })
-            });
-        }
-    }
-    group.finish();
-}
-
 fn bench_columnar(c: &mut Criterion) {
     // The columnar reenactment path vs the `without_columnar()` row-path
-    // ablation: a k ∈ {8, 32} sweep at the `batch_group_plan` scale,
-    // answered with reenactment-dominated methods (R and R+DS) where the
-    // per-tuple evaluator is the bottleneck the typed columns remove.
+    // ablation: a k ∈ {8, 32} sweep over a 5,000-row taxi dataset with a
+    // 12-update history, answered with reenactment-dominated methods (R
+    // and R+DS) where the per-tuple evaluator is the bottleneck the typed
+    // columns remove.
     // Identical per-scenario deltas both ways (tests/columnar_equiv.rs);
     // the numbers are recorded in the `columnar` phase of
     // `BENCH_batch.json` at the repo root.
@@ -369,7 +307,6 @@ criterion_group!(
     bench_delta,
     bench_end_to_end,
     bench_batch_scenarios,
-    bench_batch_group_plan,
     bench_columnar,
     bench_provisioning
 );

@@ -293,12 +293,6 @@ pub struct EngineConfig {
     /// Do not add the compressed-database constraint Φ_D to the slicing
     /// condition (ablation).
     pub skip_compression_constraint: bool,
-    /// Disable the group execution plans of the batch path: members of a
-    /// slice-sharing group then reenact the original history themselves
-    /// instead of sharing one original-side reenactment per `(group,
-    /// relation)` (ablation / pre-group-plan baseline; the answers are
-    /// identical either way).
-    pub disable_group_reenactment: bool,
     /// Disable the columnar reenactment path: every per-relation reenactment
     /// then runs tuple-at-a-time through the row evaluator, as before the
     /// columnar data plane existed (ablation / byte-identity baseline; the

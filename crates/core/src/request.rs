@@ -87,7 +87,6 @@ pub(crate) struct RequestParts {
     pub method: Method,
     pub config: EngineConfig,
     pub parallelism: usize,
-    pub no_slice_sharing: bool,
     pub no_plan_cache: bool,
     pub impact: Option<ImpactSpec>,
 }
@@ -107,7 +106,6 @@ pub struct WhatIfRequest<'s> {
     method: Method,
     config: EngineConfig,
     parallelism: usize,
-    no_slice_sharing: bool,
     no_plan_cache: bool,
     impact: Option<ImpactSpec>,
     /// Whether `run_batch` was the terminal call: an empty batch is then a
@@ -129,7 +127,6 @@ impl<'s> WhatIfRequest<'s> {
             method: Method::ReenactPsDs,
             config: EngineConfig::default(),
             parallelism: 0,
-            no_slice_sharing: false,
             no_plan_cache: false,
             impact: None,
             batched: false,
@@ -222,29 +219,12 @@ impl<'s> WhatIfRequest<'s> {
         self
     }
 
-    /// Disables program-slice sharing across the batch's scenario groups
-    /// (ablation; the answers are identical either way).
-    pub fn without_slice_sharing(mut self) -> Self {
-        self.no_slice_sharing = true;
-        self
-    }
-
     /// Opts this request out of the session's cross-request provisioning
     /// cache: no cached plan is reused and no plan built for this request
     /// is cached (the answers are identical either way; see
     /// `mahif::provision`).
     pub fn without_plan_cache(mut self) -> Self {
         self.no_plan_cache = true;
-        self
-    }
-
-    /// Disables the group execution plans of the batch path: members of a
-    /// slice-sharing group then reenact the original history themselves
-    /// instead of sharing one original-side reenactment per group
-    /// (ablation / pre-group-plan baseline; the answers are identical
-    /// either way).
-    pub fn without_group_reenactment(mut self) -> Self {
-        self.config.disable_group_reenactment = true;
         self
     }
 
@@ -359,7 +339,6 @@ impl<'s> WhatIfRequest<'s> {
             method: self.method,
             config: self.config,
             parallelism: self.parallelism,
-            no_slice_sharing: self.no_slice_sharing,
             no_plan_cache: self.no_plan_cache,
             impact: self.impact,
         })

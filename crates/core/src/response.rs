@@ -49,9 +49,9 @@ pub struct BatchStats {
     /// Per-member attribution varies by path: members of a multi-member
     /// group plan report `0` in their own `EngineStats::solver_calls`
     /// (their `shared_work` flag is set), while scenarios answered solo —
-    /// single queries, singleton groups, the `disable_group_reenactment`
-    /// ablation, refined members — fold the slice they were answered with
-    /// into their own stats, exactly like a standalone single query. So
+    /// single queries, singleton groups, refined members — fold the slice
+    /// they were answered with into their own stats, exactly like a
+    /// standalone single query. So
     /// read *this* field for the request's true solver cost; summing
     /// member counts on top can re-count a shared slice on the solo paths.
     pub solver_calls: usize,
@@ -85,23 +85,22 @@ pub struct BatchStats {
     /// groups. This shared cost is reported **once** here, and members of
     /// those plans cover only their member-specific work in their own
     /// `PhaseTimings` (their `EngineStats::shared_work` flag is set) — so
-    /// in the default group-plan path, member timings plus this field give
-    /// the true batch cost without double counting. Scenarios answered
+    /// member timings plus this field give the true batch cost without
+    /// double counting. Scenarios answered
     /// outside a multi-member plan fold their work like single queries
     /// (see [`solver_calls`](Self::solver_calls)). It is a component of
     /// [`execution`](Self::execution), not an addition to it.
     pub group_reenactment: Duration,
     /// Wall-clock time reenacting and diffing all scenarios, including
-    /// building the group plans (their shared reenactment work) in the
-    /// group-plan path.
+    /// building the group plans (their shared reenactment work).
     pub execution: Duration,
     /// End-to-end wall-clock time of the request.
     pub total: Duration,
     /// Per-relation breakdown of the group plans' shared original-side
     /// reenactment ([`group_reenactment`](Self::group_reenactment)),
     /// summed across multi-member plans and sorted by relation name. Empty
-    /// outside the group-plan path. Tracing layers graft these as child
-    /// spans so a slow plan build names the relation that cost it.
+    /// when no multi-member plan was built. Tracing layers graft these as
+    /// child spans so a slow plan build names the relation that cost it.
     pub plan_relations: Vec<(String, Duration)>,
 }
 

@@ -78,7 +78,7 @@ use mahif_history::{
 };
 use mahif_slicing::{
     group_scenarios, program_slice_multi_with_context, refine_slice_for_variant,
-    ProgramSliceResult, ScenarioGroups, SliceCache, SymbolicGroupContext,
+    ProgramSliceResult, ScenarioGroups, SymbolicGroupContext,
 };
 use mahif_storage::{Database, VersionedDatabase};
 
@@ -537,7 +537,6 @@ struct AdmittedRequest {
     method: Method,
     config: EngineConfig,
     threads: usize,
-    no_slice_sharing: bool,
     no_plan_cache: bool,
     impact: Option<crate::impact::ImpactSpec>,
     deadline: Option<Deadline>,
@@ -584,14 +583,16 @@ enum PlannedWork {
     Naive,
     Reenact {
         normalized: Vec<NormalizedWhatIf>,
+        /// The units of work: the slice-sharing groups when the request
+        /// shares slices, else one singleton group per scenario.
         groups: ScenarioGroups,
+        /// One program slice per group.
         slices: Vec<Arc<ProgramSliceResult>>,
+        /// Per scenario: a member slice refined below its group's slice.
         refined: Vec<Option<Arc<ProgramSliceResult>>>,
-        share: bool,
-        /// Provisioning-cache hits, parallel to `groups.groups` when
-        /// `share`, else to the scenarios. A hit group's slice was *not*
-        /// computed this request (it comes from the cached entry), and its
-        /// members answer from the cached plan in phase 3.
+        /// Provisioning-cache hits, one per group. A hit group's slice was
+        /// *not* computed this request (it comes from the cached entry),
+        /// and its members answer from the cached plan in phase 3.
         cached: Vec<Option<Arc<CachedPlan>>>,
     },
 }
@@ -824,7 +825,6 @@ impl Session {
             method,
             config,
             parallelism,
-            no_slice_sharing,
             no_plan_cache,
             impact,
         } = parts;
@@ -908,7 +908,6 @@ impl Session {
             method,
             config,
             threads,
-            no_slice_sharing,
             no_plan_cache,
             impact,
             deadline,
@@ -916,15 +915,11 @@ impl Session {
     }
 
     /// Whether a request may use the cross-request provisioning cache.
-    /// Ablation modes (`no_slice_sharing`, the greedy slicer,
-    /// `disable_group_reenactment`) exist to measure the uncached engine,
-    /// so they bypass the cache entirely; `Naive` never reaches here.
+    /// The greedy slicer is an ablation that exists to measure the uncached
+    /// engine, so it bypasses the cache entirely; `Naive` never reaches
+    /// here.
     fn cache_eligible(&self, req: &AdmittedRequest) -> bool {
-        self.config.cache_enabled()
-            && !req.no_plan_cache
-            && !req.no_slice_sharing
-            && !req.config.use_greedy_slicer
-            && !req.config.disable_group_reenactment
+        self.config.cache_enabled() && !req.no_plan_cache && !req.config.use_greedy_slicer
     }
 
     /// Phase 2: planning. Normalizes, groups and slices the scenarios (for
@@ -945,95 +940,63 @@ impl Session {
             method,
             config,
             threads,
-            no_slice_sharing,
             ..
         } = req;
         let (method, threads) = (*method, *threads);
+        let base_db = registered.versioned.initial();
 
-        // Normalize once per scenario and group scenarios that can share a
-        // program slice.
+        // Normalize once per scenario, then split the scenarios into the
+        // request's units of work. Scenarios that can share a program slice
+        // are grouped; otherwise — single queries, methods without program
+        // slicing, or the greedy slicer whose certificates are pairwise
+        // only — every scenario is a group of one.
         let normalize_start = Instant::now();
         let normalized = scenarios
             .iter()
             .map(|s| {
-                let query = WhatIfRef::new(
-                    &registered.history,
-                    registered.versioned.initial(),
-                    s.modifications(),
-                );
-                query
+                WhatIfRef::new(&registered.history, base_db, s.modifications())
                     .normalize()
                     .map_err(|e| req.context(Error::from(e), Phase::Normalize, s))
             })
             .collect::<Result<Vec<NormalizedWhatIf>, Error>>()?;
-        let groups = group_scenarios(&normalized);
+        let share =
+            scenarios.len() > 1 && method.uses_program_slicing() && !config.use_greedy_slicer;
+        let groups = if share {
+            group_scenarios(&normalized)
+        } else {
+            ScenarioGroups::singletons(&normalized)
+        };
         stats.normalize = normalize_start.elapsed();
         req.check_deadline(Phase::Normalize)?;
 
-        // One slice per group (shared), or one per scenario (single
-        // queries, ablation, or the greedy slicer whose certificates are
-        // pairwise only).
-        let slice_start = Instant::now();
-        let share = scenarios.len() > 1
-            && method.uses_program_slicing()
-            && !no_slice_sharing
-            && !config.use_greedy_slicer;
-
         // Cross-request provisioning: look up cached plans *before*
         // slicing — a hit reuses the entry's certified slice here and its
-        // `GroupPlan` in phase 3, skipping `program_slice_multi` and
-        // `GroupPlan::build` entirely. The key is a cheap filter;
-        // `PlanCache::lookup` then verifies the original history, the
-        // positions and every member's certification by full structural
-        // equality, so a plan is only ever reused for queries it was built
-        // for.
+        // `GroupPlan` in phase 3, skipping slicing and `GroupPlan::build`
+        // entirely. The key is a cheap filter; `PlanCache::lookup` then
+        // verifies the original history, the positions and every member's
+        // certification by full structural equality, so a plan is only
+        // ever reused for queries it was built for.
+        let slice_start = Instant::now();
         let cache_on = self.cache_eligible(req);
         let provisioned = registered.provisioned();
-        let cached: Vec<Option<Arc<CachedPlan>>> = if !cache_on {
-            vec![
-                None;
-                if share {
-                    groups.groups.len()
-                } else {
-                    normalized.len()
+        let cached: Vec<Option<Arc<CachedPlan>>> = groups
+            .groups
+            .iter()
+            .map(|group| {
+                if !cache_on {
+                    return None;
                 }
-            ]
-        } else if share {
-            groups
-                .groups
-                .iter()
-                .map(|group| {
-                    let members: Vec<&History> = group
-                        .members
-                        .iter()
-                        .map(|&i| &normalized[i].modified)
-                        .collect();
-                    let key =
-                        PlanKey::new(provisioned.generation(), method, &group.positions, config);
-                    provisioned
-                        .cache()
-                        .lookup(&key, &group.original, &group.positions, &members)
-                })
-                .collect()
-        } else {
-            normalized
-                .iter()
-                .map(|n| {
-                    let key = PlanKey::new(
-                        provisioned.generation(),
-                        method,
-                        &n.modified_positions,
-                        config,
-                    );
-                    provisioned.cache().lookup(
-                        &key,
-                        &n.original,
-                        &n.modified_positions,
-                        &[&n.modified],
-                    )
-                })
-                .collect()
-        };
+                let members: Vec<&History> = group
+                    .members
+                    .iter()
+                    .map(|&i| &normalized[i].modified)
+                    .collect();
+                let key = PlanKey::new(provisioned.generation(), method, &group.positions, config);
+                provisioned
+                    .cache()
+                    .lookup(&key, &group.original, &group.positions, &members)
+            })
+            .collect();
         let hits = cached.iter().filter(|c| c.is_some()).count();
         if cache_on {
             self.metrics.plan_cache_hits.add(hits as u64);
@@ -1042,61 +1005,48 @@ impl Session {
                 .add((cached.len() - hits) as u64);
         }
 
+        // One program slice per group. A provisioned hit reuses the cached
+        // slice. No symbolic context is kept in the cache, so members of
+        // hit groups skip refinement — refinement never changes answers,
+        // only per-member cost, and a hit already skipped the work
+        // refinement would trim.
+        let computed = run_indexed(groups.groups.len(), threads, |g| {
+            if let Some(entry) = &cached[g] {
+                return Ok((Arc::clone(entry.slice()), None));
+            }
+            let group = &groups.groups[g];
+            // A group of one slices its query alone: refinement only
+            // applies to larger groups, so it needs no symbolic context.
+            if let [only] = group.members[..] {
+                return compute_program_slice(&normalized[only], base_db, method, config)
+                    .map(|slice| (Arc::new(slice), None))
+                    .map_err(|e| req.group_context(e, Phase::ProgramSlicing, &groups, g));
+            }
+            // Borrow each member's modified history from the normalization
+            // results instead of cloning it into the group.
+            let variants: Vec<&History> = group
+                .members
+                .iter()
+                .map(|&i| &normalized[i].modified)
+                .collect();
+            program_slice_multi_with_context(
+                &group.original,
+                &variants,
+                &group.positions,
+                base_db,
+                &config.slicing(),
+            )
+            .map(|(slice, ctx)| (Arc::new(slice), Some(ctx)))
+            .map_err(|e| req.group_context(Error::from(e), Phase::ProgramSlicing, &groups, g))
+        });
         let (slices, contexts): (
             Vec<Arc<ProgramSliceResult>>,
             Vec<Option<SymbolicGroupContext>>,
-        ) = if share {
-            let computed = run_indexed(groups.groups.len(), threads, |g| {
-                // A provisioned hit reuses the cached group slice. No
-                // symbolic context is kept in the cache, so members of hit
-                // groups skip refinement — refinement never changes
-                // answers, only per-member cost, and a hit already skipped
-                // the work refinement would trim.
-                if let Some(entry) = &cached[g] {
-                    return Ok((Arc::clone(entry.slice()), None));
-                }
-                let group = &groups.groups[g];
-                // Borrow each member's modified history from the
-                // normalization results instead of cloning it into the
-                // group.
-                let variants: Vec<&History> = group
-                    .members
-                    .iter()
-                    .map(|&i| &normalized[i].modified)
-                    .collect();
-                program_slice_multi_with_context(
-                    &group.original,
-                    &variants,
-                    &group.positions,
-                    registered.versioned.initial(),
-                    &config.slicing(),
-                )
-                .map(|(slice, ctx)| (Arc::new(slice), Some(ctx)))
-                .map_err(|e| req.group_context(Error::from(e), Phase::ProgramSlicing, &groups, g))
-            });
-            collect_results(computed)?.into_iter().unzip()
-        } else {
-            let computed = run_indexed(normalized.len(), threads, |i| {
-                if let Some(entry) = &cached[i] {
-                    return Ok(Arc::clone(entry.slice()));
-                }
-                compute_program_slice(
-                    &normalized[i],
-                    registered.versioned.initial(),
-                    method,
-                    config,
-                )
-                .map(Arc::new)
-                .map_err(|e| req.context(e, Phase::ProgramSlicing, &scenarios[i]))
-            });
-            (collect_results(computed)?, Vec::new())
-        };
+        ) = collect_results(computed)?.into_iter().unzip();
         // Only slices actually computed this request count as work; hit
         // groups reuse a slice computed by an earlier request.
         stats.slice_groups = cached.len() - hits;
-        if share {
-            stats.shared_slice_hits = scenarios.len() - groups.groups.len();
-        }
+        stats.shared_slice_hits = scenarios.len() - groups.groups.len();
         req.check_deadline(Phase::ProgramSlicing)?;
 
         // Optional per-member refinement: shrink a member's slice below the
@@ -1104,11 +1054,8 @@ impl Session {
         // it solo with the smaller slice when refinement helps. The
         // RefinePolicy decides per member — `Always`/`Never` are the
         // explicit overrides, `Auto` applies the group-size / union-slice
-        // cost model. Refinement needs only the shared slices and their
-        // symbolic contexts, so it composes with
-        // `disable_group_reenactment`.
-        let refined: Vec<Option<Arc<ProgramSliceResult>>> = if share
-            && config.refine.considers_refinement()
+        // cost model.
+        let refined: Vec<Option<Arc<ProgramSliceResult>>> = if config.refine.considers_refinement()
         {
             let computed = run_indexed(scenarios.len(), threads, |i| {
                 let g = groups.scenario_group[i];
@@ -1131,7 +1078,7 @@ impl Session {
                     &normalized[i].original,
                     &normalized[i].modified,
                     &normalized[i].modified_positions,
-                    registered.versioned.initial(),
+                    base_db,
                     &config.slicing(),
                     &slices[g],
                     context,
@@ -1182,7 +1129,6 @@ impl Session {
             groups,
             slices,
             refined,
-            share,
             cached,
         })
     }
@@ -1225,43 +1171,39 @@ impl Session {
                 groups,
                 slices,
                 refined,
-                share,
                 cached,
             } => {
                 // Group execution plans: the original-side reenactment is
-                // identical across a group's members, so compute it once
-                // per group and answer members against the cached results.
-                // Disabled for ablation (and as the pre-group-plan
-                // baseline) via `EngineConfig::disable_group_reenactment`.
-                let use_plans = *share && !config.disable_group_reenactment;
-
-                if use_plans {
-                    // The execution phase covers plan building (the groups'
-                    // shared reenactment work) plus member answering.
-                    let exec_start = Instant::now();
-                    // Build plans only for cache-miss groups with at least
-                    // one member that was not refined away; a hit group
-                    // answers from its cached plan, and a fully refined
-                    // group would never use its plan's cached original-side
-                    // results.
-                    let needs_plan: Vec<bool> = groups
-                        .groups
+                // identical across a group's members, so compute it once per
+                // group and answer members against the cached results. A
+                // singleton group is the single-query engine itself. The
+                // execution phase covers plan building (the groups' shared
+                // reenactment work) plus member answering.
+                let exec_start = Instant::now();
+                // Build plans only for cache-miss groups with at least one
+                // member that was not refined away; a hit group answers from
+                // its cached plan, and a fully refined group would never use
+                // its plan's cached original-side results.
+                let needs_plan: Vec<bool> = groups
+                    .groups
+                    .iter()
+                    .enumerate()
+                    .map(|(g, group)| {
+                        cached[g].is_none() && group.members.iter().any(|&i| refined[i].is_none())
+                    })
+                    .collect();
+                let plan_results = run_indexed(groups.groups.len(), threads, |g| {
+                    if !needs_plan[g] {
+                        return Ok(None);
+                    }
+                    let members: Vec<&NormalizedWhatIf> = groups.groups[g]
+                        .members
                         .iter()
-                        .enumerate()
-                        .map(|(g, group)| {
-                            cached[g].is_none()
-                                && group.members.iter().any(|&i| refined[i].is_none())
-                        })
+                        .map(|&i| &normalized[i])
                         .collect();
-                    let plan_results = run_indexed(groups.groups.len(), threads, |g| {
-                        if !needs_plan[g] {
-                            return Ok(None);
-                        }
-                        let members: Vec<&NormalizedWhatIf> = groups.groups[g]
-                            .members
-                            .iter()
-                            .map(|&i| &normalized[i])
-                            .collect();
+                    // A panicking build fails the request like a panicking
+                    // member answer (see `run_pool`), naming the group.
+                    catch_unwind(AssertUnwindSafe(|| {
                         GroupPlan::build(
                             &members,
                             &slices[g],
@@ -1270,199 +1212,129 @@ impl Session {
                             config,
                             req.deadline,
                         )
-                        .map(Some)
-                        .map_err(|e| req.group_context(e, Phase::Execution, groups, g))
-                    });
-                    let plans = collect_results(plan_results)?;
-                    // One handle per group: the provisioned hit, or the
-                    // freshly built plan wrapped with its certification
-                    // metadata and — when caching is on — inserted into
-                    // the history's cache for later requests. A racing
-                    // request that inserted an equivalent entry first wins
-                    // ties; this request still answers from its own plan.
-                    let provisioned = registered.provisioned();
-                    let handles: Vec<Option<Arc<CachedPlan>>> = plans
-                        .into_iter()
-                        .enumerate()
-                        .map(|(g, plan)| match (&cached[g], plan) {
-                            (Some(entry), _) => Some(Arc::clone(entry)),
-                            (None, Some(plan)) => {
-                                let group = &groups.groups[g];
-                                let entry = Arc::new(CachedPlan::new(
-                                    PlanKey::new(
-                                        provisioned.generation(),
-                                        method,
-                                        &group.positions,
-                                        config,
-                                    ),
-                                    group.original.clone(),
-                                    &group.positions,
-                                    group
-                                        .members
-                                        .iter()
-                                        .map(|&i| normalized[i].modified.clone())
-                                        .collect(),
-                                    Arc::clone(&slices[g]),
-                                    plan,
-                                ));
-                                if cache_on {
-                                    self.record_insert(
-                                        provisioned.cache().insert(Arc::clone(&entry)),
-                                    );
-                                }
-                                Some(entry)
-                            }
-                            (None, None) => None,
-                        })
-                        .collect();
-                    // Singleton groups fold their shared work into the
-                    // member's own answer (exact single-query behavior), so
-                    // only multi-member plans report shared work at the
-                    // batch level — and only *freshly built* ones: a hit
-                    // group's shared reenactment happened in an earlier
-                    // request, so a warm batch adds nothing here.
-                    let fresh_multi: Vec<&GroupPlan> = handles
-                        .iter()
-                        .zip(cached.iter())
-                        .filter(|(_, c)| c.is_none())
-                        .filter_map(|(h, _)| h.as_deref())
-                        .map(CachedPlan::plan)
-                        .filter(|p| p.group_size() > 1)
-                        .collect();
-                    stats.group_reenactment = fresh_multi.iter().map(|p| p.shared_duration()).sum();
-                    stats.original_reenactments = fresh_multi
-                        .iter()
-                        .map(|p| p.original_reenactments())
-                        .sum::<usize>();
-                    // The shared original-side phase of those same fresh
-                    // multi-member plans is also where their columnar work
-                    // happened (singleton plans fold it into the member's
-                    // answer, summed below with the rest).
-                    for plan in &fresh_multi {
-                        let shared = plan.shared_columnar();
-                        stats.columnar_batches += shared.batches;
-                        stats.vectorized_predicates += shared.predicates;
-                        stats.row_fallbacks += shared.fallbacks;
-                    }
-                    // Per-relation breakdown of the shared reenactment,
-                    // merged across plans (sorted by relation name — the
-                    // plans' own orders already are).
-                    let mut by_relation: std::collections::BTreeMap<String, Duration> =
-                        std::collections::BTreeMap::new();
-                    for plan in &fresh_multi {
-                        for (relation, duration) in plan.relation_timings() {
-                            *by_relation.entry(relation.to_string()).or_default() += duration;
-                        }
-                    }
-                    stats.plan_relations = by_relation.into_iter().collect();
-
-                    let answers = self.run_pool(threads, scenarios, |i| {
-                        req.check_deadline(Phase::Execution)?;
-                        let g = groups.scenario_group[i];
-                        match &refined[i] {
-                            // A refined member answers solo with its own
-                            // smaller slice (its original-side reenactment
-                            // is over the *refined* sliced history, so it
-                            // cannot reuse the plan's cached results).
-                            Some(slice) => answer_normalized(
-                                &normalized[i],
-                                slice,
-                                &registered.versioned,
-                                method,
-                                config,
-                            ),
-                            None => {
-                                let entry = handles[g]
-                                    .as_ref()
-                                    .expect("a plan exists for every group with unrefined members");
-                                if cached[g].is_some() {
-                                    // Cross-request hit: byte-identical
-                                    // delta, shared phases never folded
-                                    // (this request did not perform them).
-                                    entry
-                                        .plan()
-                                        .answer_cached(&normalized[i], &registered.versioned)
-                                } else {
-                                    entry
-                                        .plan()
-                                        .answer_in_group(&normalized[i], &registered.versioned)
-                                }
-                            }
-                        }
-                        .map_err(|e| req.context(e, Phase::Execution, &scenarios[i]))
-                    })?;
-                    stats.execution = exec_start.elapsed();
-                    answers
-                } else {
-                    let cache: Option<SliceCache> =
-                        share.then(|| SliceCache::new(groups, slices.clone()));
-                    let exec_start = Instant::now();
-                    let provisioned = registered.provisioned();
-                    let answers = self.run_pool(threads, scenarios, |i| {
-                        req.check_deadline(Phase::Execution)?;
-                        // The per-scenario provisioning scope: single
-                        // queries and non-program-slicing methods reach
-                        // here (caching is never eligible alongside the
-                        // ablation flags, so `share` is false whenever
-                        // `cache_on` holds).
-                        if cache_on {
-                            if let Some(entry) = &cached[i] {
-                                return entry
-                                    .plan()
-                                    .answer_cached(&normalized[i], &registered.versioned)
-                                    .map_err(|e| req.context(e, Phase::Execution, &scenarios[i]));
-                            }
-                            // Miss: build the singleton plan — exactly what
-                            // `answer_normalized` does internally — answer
-                            // from it, and provision it for later requests.
+                    }))
+                    .unwrap_or_else(|_| Err(Error::new(ErrorKind::WorkerPanicked)))
+                    .map(Some)
+                    .map_err(|e| req.group_context(e, Phase::Execution, groups, g))
+                });
+                let plans = collect_results(plan_results)?;
+                // One handle per group: the provisioned hit, or the freshly
+                // built plan wrapped with its certification metadata and —
+                // when caching is on — inserted into the history's cache for
+                // later requests. A racing request that inserted an equivalent
+                // entry first wins ties; this request still answers from its
+                // own plan.
+                let provisioned = registered.provisioned();
+                let handles: Vec<Option<Arc<CachedPlan>>> = plans
+                    .into_iter()
+                    .enumerate()
+                    .map(|(g, plan)| match (&cached[g], plan) {
+                        (Some(entry), _) => Some(Arc::clone(entry)),
+                        (None, Some(plan)) => {
+                            let group = &groups.groups[g];
                             let entry = Arc::new(CachedPlan::new(
                                 PlanKey::new(
                                     provisioned.generation(),
                                     method,
-                                    &normalized[i].modified_positions,
+                                    &group.positions,
                                     config,
                                 ),
-                                normalized[i].original.clone(),
-                                &normalized[i].modified_positions,
-                                vec![normalized[i].modified.clone()],
-                                Arc::clone(&slices[i]),
-                                GroupPlan::build(
-                                    &[&normalized[i]],
-                                    &slices[i],
-                                    &registered.versioned,
-                                    method,
-                                    config,
-                                    req.deadline,
-                                )
-                                .map_err(|e| req.context(e, Phase::Execution, &scenarios[i]))?,
+                                group.original.clone(),
+                                &group.positions,
+                                group
+                                    .members
+                                    .iter()
+                                    .map(|&i| normalized[i].modified.clone())
+                                    .collect(),
+                                Arc::clone(&slices[g]),
+                                plan,
                             ));
-                            let answer = entry
-                                .plan()
-                                .answer_in_group(&normalized[i], &registered.versioned)
-                                .map_err(|e| req.context(e, Phase::Execution, &scenarios[i]))?;
-                            self.record_insert(provisioned.cache().insert(entry));
-                            return Ok(answer);
+                            if cache_on {
+                                self.record_insert(provisioned.cache().insert(Arc::clone(&entry)));
+                            }
+                            Some(entry)
                         }
-                        let slice = match (&refined[i], &cache) {
-                            // Refinement composes with the no-group-plan
-                            // ablation: a refined member still answers with
-                            // its smaller slice.
-                            (Some(refined), _) => Arc::clone(refined),
-                            (None, Some(cache)) => cache.slice_for(i),
-                            (None, None) => Arc::clone(&slices[i]),
-                        };
-                        answer_normalized(
+                        (None, None) => None,
+                    })
+                    .collect();
+                // Singleton groups fold their shared work into the member's
+                // own answer (exact single-query behavior), so only
+                // multi-member plans report shared work at the batch level —
+                // and only *freshly built* ones: a hit group's shared
+                // reenactment happened in an earlier request, so a warm batch
+                // adds nothing here.
+                let fresh_multi: Vec<&GroupPlan> = handles
+                    .iter()
+                    .zip(cached.iter())
+                    .filter(|(_, c)| c.is_none())
+                    .filter_map(|(h, _)| h.as_deref())
+                    .map(CachedPlan::plan)
+                    .filter(|p| p.group_size() > 1)
+                    .collect();
+                stats.group_reenactment = fresh_multi.iter().map(|p| p.shared_duration()).sum();
+                stats.original_reenactments = fresh_multi
+                    .iter()
+                    .map(|p| p.original_reenactments())
+                    .sum::<usize>();
+                // The shared original-side phase of those same fresh
+                // multi-member plans is also where their columnar work
+                // happened (singleton plans fold it into the member's answer,
+                // summed below with the rest).
+                for plan in &fresh_multi {
+                    let shared = plan.shared_columnar();
+                    stats.columnar_batches += shared.batches;
+                    stats.vectorized_predicates += shared.predicates;
+                    stats.row_fallbacks += shared.fallbacks;
+                }
+                // Per-relation breakdown of the shared reenactment, merged
+                // across plans (sorted by relation name — the plans' own
+                // orders already are).
+                let mut by_relation: std::collections::BTreeMap<String, Duration> =
+                    std::collections::BTreeMap::new();
+                for plan in &fresh_multi {
+                    for (relation, duration) in plan.relation_timings() {
+                        *by_relation.entry(relation.to_string()).or_default() += duration;
+                    }
+                }
+                stats.plan_relations = by_relation.into_iter().collect();
+
+                let answers = self.run_pool(threads, scenarios, |i| {
+                    req.check_deadline(Phase::Execution)?;
+                    let g = groups.scenario_group[i];
+                    match &refined[i] {
+                        // A refined member answers solo with its own smaller
+                        // slice (its original-side reenactment is over the
+                        // *refined* sliced history, so it cannot reuse the
+                        // plan's cached results).
+                        Some(slice) => answer_normalized(
                             &normalized[i],
-                            &slice,
+                            slice,
                             &registered.versioned,
                             method,
                             config,
-                        )
-                        .map_err(|e| req.context(e, Phase::Execution, &scenarios[i]))
-                    })?;
-                    stats.execution = exec_start.elapsed();
-                    answers
-                }
+                        ),
+                        None => {
+                            let entry = handles[g]
+                                .as_ref()
+                                .expect("a plan exists for every group with unrefined members");
+                            if cached[g].is_some() {
+                                // Cross-request hit: byte-identical delta,
+                                // shared phases never folded (this request did
+                                // not perform them).
+                                entry
+                                    .plan()
+                                    .answer_cached(&normalized[i], &registered.versioned)
+                            } else {
+                                entry
+                                    .plan()
+                                    .answer_in_group(&normalized[i], &registered.versioned)
+                            }
+                        }
+                    }
+                    .map_err(|e| req.context(e, Phase::Execution, &scenarios[i]))
+                })?;
+                stats.execution = exec_start.elapsed();
+                answers
             }
         };
 
@@ -1501,16 +1373,16 @@ impl Session {
         }
         let answers = merged;
 
-        // Scenarios answered outside a shared plan (solo paths, refined
-        // members) report their own original-side reenactments; add them to
-        // the plans' once-per-group count.
+        // Scenarios answered outside a multi-member plan (singleton plans,
+        // refined members) report their own original-side reenactments;
+        // add them to the plans' once-per-group count.
         stats.original_reenactments += answers
             .iter()
             .map(|a| a.stats.original_reenactments)
             .sum::<usize>();
         // Columnar-path work of the member answers themselves (modified-side
-        // reenactments everywhere, plus the folded shared phase of solo
-        // answers and singleton plans).
+        // reenactments everywhere, plus the folded shared phase of singleton
+        // plans and refined members).
         for answer in &answers {
             stats.columnar_batches += answer.stats.columnar_batches;
             stats.vectorized_predicates += answer.stats.vectorized_predicates;
@@ -1917,19 +1789,6 @@ mod tests {
             s.stats().delta_tuples_deduped,
             response.stats.delta_tuples_deduped as u64
         );
-
-        // The ablation (pre-group-plan path) reenacts the original once per
-        // member — and still answers identically.
-        let unshared = s
-            .on("retail")
-            .method(Method::ReenactPsDs)
-            .without_group_reenactment()
-            .run_batch(sweep("threshold", 0, thresholds, |t| threshold(*t)))
-            .unwrap();
-        assert_eq!(unshared.stats.original_reenactments, thresholds.len());
-        for (a, b) in response.scenarios.iter().zip(&unshared.scenarios) {
-            assert_eq!(a.answer.delta, b.answer.delta, "{}", a.name);
-        }
     }
 
     #[test]
@@ -1974,19 +1833,6 @@ mod tests {
             refined.stats.refined_slices as u64
         );
         for (a, b) in reference.scenarios.iter().zip(&refined.scenarios) {
-            assert_eq!(a.answer.delta, b.answer.delta, "{}", a.name);
-        }
-        // Refinement composes with the no-group-plan ablation: members
-        // still answer with their refined slices.
-        let combo = s
-            .on("retail")
-            .method(Method::ReenactPsDs)
-            .with_slice_refinement()
-            .without_group_reenactment()
-            .run_batch(sweep("threshold", 0, thresholds, |t| threshold(*t)))
-            .unwrap();
-        assert_eq!(combo.stats.refined_slices, refined.stats.refined_slices);
-        for (a, b) in reference.scenarios.iter().zip(&combo.scenarios) {
             assert_eq!(a.answer.delta, b.answer.delta, "{}", a.name);
         }
         // The explicit opt-out always wins.

@@ -108,11 +108,13 @@ impl History {
         self.statements.iter().all(|s| s.is_tuple_independent())
     }
 
-    /// Executes the history over `db`, returning the final state `H(D)`.
+    /// Executes the history over a copy of `db`, returning the final state
+    /// `H(D)`: one copy of the database, with every statement applied in
+    /// place.
     pub fn execute(&self, db: &Database) -> Result<Database, HistoryError> {
         let mut current = db.clone();
         for s in &self.statements {
-            current = s.apply(&current)?;
+            s.apply(&mut current)?;
         }
         Ok(current)
     }

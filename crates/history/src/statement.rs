@@ -180,61 +180,64 @@ impl Statement {
         }
     }
 
-    /// Applies the statement to a database, returning the updated database
-    /// (Equations (1)–(4)). Only the target relation changes; for
-    /// `INSERT ... SELECT` the query may read any relation of the input
-    /// database.
-    pub fn apply(&self, db: &Database) -> Result<Database, HistoryError> {
-        let mut out = db.clone();
+    /// Applies the statement to a database in place (Equations (1)–(4)).
+    /// Only the target relation changes; for `INSERT ... SELECT` the query
+    /// may read any relation and is evaluated to completion before any row
+    /// is inserted, so a self-reading insert sees the pre-statement state.
+    /// On error the target relation may be partially updated.
+    pub fn apply(&self, db: &mut Database) -> Result<(), HistoryError> {
         match self {
             Statement::Update {
                 relation,
                 set,
                 cond,
             } => {
-                let rel = db.relation(relation)?;
+                let rel = db.relation_mut(relation)?;
                 let schema = rel.schema.clone();
                 let full = set.full_set(&schema);
-                let mut new_rel = Relation::empty(schema.clone());
-                for t in rel.iter() {
+                for t in rel.tuples.iter_mut() {
                     let bind = TupleBindings::new(&schema, t);
                     if eval_condition(cond, &bind)? {
-                        let mut values = Vec::with_capacity(full.len());
-                        for e in &full {
-                            values.push(eval_expr(e, &bind)?);
-                        }
-                        new_rel.tuples.push(Tuple::new(values));
-                    } else {
-                        new_rel.tuples.push(t.clone());
+                        let values = full
+                            .iter()
+                            .map(|e| eval_expr(e, &bind))
+                            .collect::<Result<Vec<_>, _>>()?;
+                        *t = Tuple::new(values);
                     }
                 }
-                out.put_relation(new_rel);
             }
             Statement::Delete { relation, cond } => {
-                let rel = db.relation(relation)?;
+                let rel = db.relation_mut(relation)?;
                 let schema = rel.schema.clone();
-                let mut new_rel = Relation::empty(schema.clone());
-                for t in rel.iter() {
-                    let bind = TupleBindings::new(&schema, t);
-                    if !eval_condition(cond, &bind)? {
-                        new_rel.tuples.push(t.clone());
+                let mut error = None;
+                rel.tuples.retain(|t| {
+                    if error.is_some() {
+                        return true;
                     }
+                    match eval_condition(cond, &TupleBindings::new(&schema, t)) {
+                        Ok(deleted) => !deleted,
+                        Err(e) => {
+                            error = Some(e);
+                            true
+                        }
+                    }
+                });
+                if let Some(e) = error {
+                    return Err(e.into());
                 }
-                out.put_relation(new_rel);
             }
             Statement::InsertValues { relation, tuple } => {
-                let rel = out.relation_mut(relation)?;
-                rel.insert(tuple.clone())?;
+                db.relation_mut(relation)?.insert(tuple.clone())?;
             }
             Statement::InsertQuery { relation, query } => {
                 let result = evaluate(query, db)?;
-                let rel = out.relation_mut(relation)?;
-                for t in result.iter() {
-                    rel.insert(t.clone())?;
+                let rel = db.relation_mut(relation)?;
+                for t in result.tuples {
+                    rel.insert(t)?;
                 }
             }
         }
-        Ok(out)
+        Ok(())
     }
 
     /// Applies a tuple-independent statement to a single tuple of its target
@@ -419,17 +422,16 @@ mod tests {
 
     #[test]
     fn update_semantics_running_example_u1() {
-        let db = running_example_database();
-        let u1 = &running_example_history()[0];
-        let after = u1.apply(&db).unwrap();
-        assert_eq!(fees(&after), vec![5, 0, 0, 4]);
+        let mut db = running_example_database();
+        running_example_history()[0].apply(&mut db).unwrap();
+        assert_eq!(fees(&db), vec![5, 0, 0, 4]);
     }
 
     #[test]
     fn full_history_matches_figure_3() {
         let mut db = running_example_database();
         for u in running_example_history() {
-            db = u.apply(&db).unwrap();
+            u.apply(&mut db).unwrap();
         }
         assert_eq!(fees(&db), vec![8, 5, 0, 4]);
     }
@@ -440,7 +442,7 @@ mod tests {
         let mut history = running_example_history();
         history[0] = running_example_u1_prime();
         for u in history {
-            db = u.apply(&db).unwrap();
+            u.apply(&mut db).unwrap();
         }
         // Figure 4: Alex's order (ID 12) now pays 10 instead of 5.
         assert_eq!(fees(&db), vec![8, 10, 0, 4]);
@@ -448,15 +450,15 @@ mod tests {
 
     #[test]
     fn delete_semantics() {
-        let db = running_example_database();
+        let mut db = running_example_database();
         let d = Statement::delete("Order", ge(attr("Price"), lit(50)));
-        let after = d.apply(&db).unwrap();
-        assert_eq!(after.relation("Order").unwrap().len(), 2);
+        d.apply(&mut db).unwrap();
+        assert_eq!(db.relation("Order").unwrap().len(), 2);
     }
 
     #[test]
     fn insert_values_semantics() {
-        let db = running_example_database();
+        let mut db = running_example_database();
         let t = Tuple::new(vec![
             Value::int(15),
             Value::str("Eve"),
@@ -465,15 +467,17 @@ mod tests {
             Value::int(2),
         ]);
         let i = Statement::insert_values("Order", t.clone());
-        let after = i.apply(&db).unwrap();
-        assert_eq!(after.relation("Order").unwrap().len(), 5);
-        assert!(after.relation("Order").unwrap().contains(&t));
+        i.apply(&mut db).unwrap();
+        assert_eq!(db.relation("Order").unwrap().len(), 5);
+        assert!(db.relation("Order").unwrap().contains(&t));
     }
 
     #[test]
     fn insert_query_semantics() {
-        // Insert a copy of all UK orders (with new IDs offset by 100).
-        let db = running_example_database();
+        // Insert a copy of all UK orders (with new IDs offset by 100): the
+        // query reads the pre-statement state, so the copies are not copied
+        // again.
+        let mut db = running_example_database();
         let q = Query::project(
             vec![
                 mahif_query::ProjectItem::new(add(attr("ID"), lit(100)), "ID"),
@@ -485,8 +489,8 @@ mod tests {
             Query::select(eq(attr("Country"), slit("UK")), Query::scan("Order")),
         );
         let i = Statement::insert_query("Order", q);
-        let after = i.apply(&db).unwrap();
-        assert_eq!(after.relation("Order").unwrap().len(), 6);
+        i.apply(&mut db).unwrap();
+        assert_eq!(db.relation("Order").unwrap().len(), 6);
         assert!(!i.is_tuple_independent());
     }
 
@@ -495,7 +499,8 @@ mod tests {
         let db = running_example_database();
         let n = Statement::no_op("Order");
         assert!(n.is_no_op());
-        let after = n.apply(&db).unwrap();
+        let mut after = db.clone();
+        n.apply(&mut after).unwrap();
         assert!(after.set_eq(&db));
         assert!(!Statement::delete("Order", Expr::true_()).is_no_op());
     }
@@ -560,7 +565,8 @@ mod tests {
             running_example_history()[1].clone(),
             Statement::delete("Order", ge(attr("Price"), lit(50))),
         ] {
-            let full = stmt.apply(&db).unwrap();
+            let mut full = db.clone();
+            stmt.apply(&mut full).unwrap();
             let full_rel = full.relation("Order").unwrap();
             let mut union: Vec<Tuple> = Vec::new();
             for t in rel.iter() {

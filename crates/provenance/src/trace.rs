@@ -183,7 +183,7 @@ pub fn trace_history(
                 }
             }
         }
-        working = stmt.apply(&working)?;
+        stmt.apply(&mut working)?;
     }
 
     Ok(RelationTrace {

@@ -184,7 +184,8 @@ mod tests {
         let q = reenact_statement(u1, "Order", &schema, Query::scan("Order"));
         assert!(matches!(q, Query::Project { .. }));
         let result = evaluate(&q, &db).unwrap();
-        let direct = u1.apply(&db).unwrap();
+        let mut direct = db.clone();
+        u1.apply(&mut direct).unwrap();
         assert!(result.set_eq(direct.relation("Order").unwrap()));
     }
 
@@ -197,7 +198,9 @@ mod tests {
         assert!(matches!(q, Query::Select { .. }));
         let result = evaluate(&q, &db).unwrap();
         assert_eq!(result.len(), 2);
-        assert!(result.set_eq(d.apply(&db).unwrap().relation("Order").unwrap()));
+        let mut direct = db.clone();
+        d.apply(&mut direct).unwrap();
+        assert!(result.set_eq(direct.relation("Order").unwrap()));
     }
 
     #[test]

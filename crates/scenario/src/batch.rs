@@ -7,8 +7,9 @@
 //! duplicate-name checking, and ranking of the per-scenario impacts
 //! ([`BatchAnswer::rank_by`]). The funnel executes a batch as **group
 //! plans** (`mahif::GroupPlan`): scenarios whose normalizations share the
-//! original history and modified positions form a group, and everything
-//! that depends only on the shared side is computed once per group:
+//! original history and modified positions form a group (a scenario that
+//! shares with none is a group of one), and everything that depends only
+//! on the shared side is computed once per group:
 //!
 //! * each scenario normalized once, then **grouped**;
 //! * **one program slice per group** (via
@@ -48,29 +49,12 @@ pub struct BatchConfig {
     /// Number of worker threads; `0` uses the machine's available
     /// parallelism.
     pub parallelism: usize,
-    /// Disable slice sharing across scenarios (each scenario then computes
-    /// its own slice, still in parallel). Useful for ablation; the answers
-    /// are identical either way.
-    pub no_slice_sharing: bool,
 }
 
 impl BatchConfig {
     /// Sets the worker-thread count (`0` = auto).
     pub fn with_parallelism(mut self, parallelism: usize) -> Self {
         self.parallelism = parallelism;
-        self
-    }
-
-    /// Disables slice sharing (ablation).
-    pub fn without_slice_sharing(mut self) -> Self {
-        self.no_slice_sharing = true;
-        self
-    }
-
-    /// Disables the group plans' shared original-side reenactment
-    /// (ablation / pre-group-plan baseline; answers are identical).
-    pub fn without_group_reenactment(mut self) -> Self {
-        self.engine.disable_group_reenactment = true;
         self
     }
 
@@ -105,18 +89,17 @@ pub struct ScenarioAnswer {
     /// The scenario's name.
     pub name: String,
     /// The what-if answer. Its **delta** is identical to what a single
-    /// request returns for the same scenario. In the default group-plan
-    /// path, timings are attributed without double counting: a member of a
-    /// multi-scenario group reports only its own work (modified-side
-    /// reenactment + delta) and carries `stats.shared_work = true`, while
+    /// request returns for the same scenario. Timings are attributed
+    /// without double counting: a member of a multi-scenario group reports
+    /// only its own work (modified-side reenactment + delta) and carries
+    /// `stats.shared_work = true`, while
     /// the group's shared slicing and original-reenactment time is
     /// reported **once** in [`BatchStats::slicing`] /
     /// [`BatchStats::group_reenactment`] — so summing those member timings
     /// plus the batch-level shared fields gives the true batch cost.
     /// Scenarios answered outside a multi-member plan (singleton groups,
-    /// the ablations, refined members) fold their slicing work like single
-    /// queries; see [`BatchStats::solver_calls`] for the deduplicated
-    /// accounting.
+    /// refined members) fold their slicing work like single queries; see
+    /// [`BatchStats::solver_calls`] for the deduplicated accounting.
     pub answer: WhatIfAnswer,
 }
 
@@ -266,16 +249,13 @@ impl<'a> ScenarioSet<'a> {
         if self.scenarios.is_empty() {
             return Err(ScenarioError::EmptyScenarioSet);
         }
-        let mut request = self
+        let response = self
             .session
             .on(&self.history)
             .method(method)
             .config(config.engine.clone())
-            .parallelism(config.parallelism);
-        if config.no_slice_sharing {
-            request = request.without_slice_sharing();
-        }
-        let response = request.run_batch(self.scenarios.iter().cloned())?;
+            .parallelism(config.parallelism)
+            .run_batch(self.scenarios.iter().cloned())?;
         Ok(BatchAnswer::from_response(response))
     }
 }
@@ -441,24 +421,6 @@ mod tests {
         for (answer, scenario) in sub.answers.iter().zip(subset.scenarios()) {
             let reference = single(&session, scenario.modifications(), Method::ReenactPsDs);
             assert_eq!(answer.answer.delta, reference.delta, "{}", scenario.name());
-        }
-    }
-
-    #[test]
-    fn no_sharing_ablation_matches() {
-        let session = session();
-        let set = sweep_set(&session, &[55, 60, 65]);
-        let shared = set.answer_all(Method::ReenactPsDs).unwrap();
-        let unshared = set
-            .answer_all_configured(
-                Method::ReenactPsDs,
-                &BatchConfig::default().without_slice_sharing(),
-            )
-            .unwrap();
-        assert_eq!(unshared.stats.shared_slice_hits, 0);
-        assert_eq!(unshared.stats.slice_groups, 3);
-        for (a, b) in shared.answers.iter().zip(&unshared.answers) {
-            assert_eq!(a.answer.delta, b.answer.delta);
         }
     }
 

@@ -75,13 +75,11 @@
 #![allow(clippy::result_large_err)]
 
 pub mod batch;
-pub mod cache;
 pub mod compare;
 pub mod error;
 pub mod scenario;
 
 pub use batch::{BatchAnswer, BatchConfig, BatchStats, BatchWhatIf, ScenarioAnswer, ScenarioSet};
-pub use cache::{group_scenarios, ScenarioGroup, ScenarioGroups, SliceCache};
 pub use compare::{rank_scenarios, RankedScenario, ScenarioComparison};
 pub use error::ScenarioError;
 pub use scenario::Scenario;

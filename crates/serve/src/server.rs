@@ -969,12 +969,6 @@ fn route(head: &RequestHead, body: &str, shared: &Shared, ctx: &mut RequestCtx) 
                     if let Some(policy) = batch.refine {
                         req = req.refine(policy);
                     }
-                    if !batch.slice_sharing {
-                        req = req.without_slice_sharing();
-                    }
-                    if !batch.group_reenactment {
-                        req = req.without_group_reenactment();
-                    }
                     if !batch.analyzer {
                         req = req.without_analyzer();
                     }

@@ -313,10 +313,6 @@ pub struct BatchRequest {
     pub parallelism: usize,
     /// Slice-refinement policy override, when given.
     pub refine: Option<RefinePolicy>,
-    /// Slice-sharing ablation: `false` disables sharing.
-    pub slice_sharing: bool,
-    /// Group-reenactment ablation: `false` disables group plans.
-    pub group_reenactment: bool,
     /// Static-analyzer ablation: `false` disables admission pre-validation
     /// and no-op proofs.
     pub analyzer: bool,
@@ -335,13 +331,13 @@ pub struct BatchRequest {
 ///   "impact": {"relation": "Order", "attribute": "ShippingFee"},
 ///   "parallelism": 0,
 ///   "refine": "auto",
-///   "slice_sharing": true,
-///   "group_reenactment": true
+///   "analyzer": true
 /// }
 /// ```
 ///
-/// Only `scenarios` is required. Statement numbers in what-if scripts are
-/// 1-based, like `mahif_sqlparse::parse_whatif` documents.
+/// Only `scenarios` is required; unknown top-level fields are ignored.
+/// Statement numbers in what-if scripts are 1-based, like
+/// `mahif_sqlparse::parse_whatif` documents.
 pub fn decode_batch(body: &str) -> Result<BatchRequest, WireError> {
     let doc = Json::parse(body).map_err(|e| WireError::bad_request(e.to_string()))?;
     let method = match doc.get("method") {
@@ -432,8 +428,6 @@ pub fn decode_batch(body: &str) -> Result<BatchRequest, WireError> {
             )))
         }
     };
-    let slice_sharing = decode_flag(&doc, "slice_sharing", true)?;
-    let group_reenactment = decode_flag(&doc, "group_reenactment", true)?;
     let analyzer = decode_flag(&doc, "analyzer", true)?;
     Ok(BatchRequest {
         scenarios,
@@ -442,8 +436,6 @@ pub fn decode_batch(body: &str) -> Result<BatchRequest, WireError> {
         impact,
         parallelism,
         refine,
-        slice_sharing,
-        group_reenactment,
         analyzer,
     })
 }
@@ -926,8 +918,17 @@ mod tests {
         assert!(batch.impact.is_some());
         assert_eq!(batch.parallelism, 2);
         assert_eq!(batch.refine, Some(RefinePolicy::Never));
-        assert!(batch.slice_sharing);
-        assert!(batch.group_reenactment);
+    }
+
+    #[test]
+    fn retired_ablation_fields_are_ignored() {
+        let plain = r#"{"scenarios": [{"name": "t60", "whatif": "DROP STATEMENT 2"}]}"#;
+        let retired = r#"{"scenarios": [{"name": "t60", "whatif": "DROP STATEMENT 2"}],
+          "slice_sharing": false, "group_reenactment": false}"#;
+        assert_eq!(
+            format!("{:?}", decode_batch(retired).unwrap()),
+            format!("{:?}", decode_batch(plain).unwrap())
+        );
     }
 
     #[test]

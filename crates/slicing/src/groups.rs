@@ -1,5 +1,4 @@
-//! Grouping normalized what-if queries that can share a program slice, and
-//! the cache that hands the shared slices back out per query.
+//! Grouping normalized what-if queries that can share a program slice.
 //!
 //! Two queries can share a slice when their normalizations agree on the
 //! *original* side: the same padded original history and the same set of
@@ -10,11 +9,7 @@
 //! ever applied to queries it was certified for (see
 //! [`crate::program_slice_multi`]).
 
-use std::sync::Arc;
-
 use mahif_history::{History, NormalizedWhatIf};
-
-use crate::program::ProgramSliceResult;
 
 /// One group of queries sharing `(original, positions)` after normalization.
 ///
@@ -69,6 +64,25 @@ pub fn group_scenarios(normalized: &[NormalizedWhatIf]) -> ScenarioGroups {
     }
 }
 
+impl ScenarioGroups {
+    /// One group per query, in query order: the partition of a batch whose
+    /// queries each get a slice of their own.
+    pub fn singletons(normalized: &[NormalizedWhatIf]) -> ScenarioGroups {
+        ScenarioGroups {
+            groups: normalized
+                .iter()
+                .enumerate()
+                .map(|(index, n)| ScenarioGroup {
+                    original: n.original.clone(),
+                    positions: n.modified_positions.clone(),
+                    members: vec![index],
+                })
+                .collect(),
+            scenario_group: (0..normalized.len()).collect(),
+        }
+    }
+}
+
 /// The canonical form of a modified-position set: sorted ascending with
 /// duplicates removed. Two position sets that canonicalize equal describe
 /// the same modification sites, so cross-request cache keys are built over
@@ -100,45 +114,6 @@ pub fn position_set_hash(positions: &[usize]) -> u64 {
         }
     }
     hash
-}
-
-/// Computed program slices, one per group, addressable per query.
-#[derive(Debug, Clone)]
-pub struct SliceCache {
-    slices: Vec<Arc<ProgramSliceResult>>,
-    scenario_group: Vec<usize>,
-}
-
-impl SliceCache {
-    /// Builds the cache from the grouping and the per-group slices (parallel
-    /// to `groups.groups`).
-    pub fn new(groups: &ScenarioGroups, slices: Vec<Arc<ProgramSliceResult>>) -> SliceCache {
-        assert_eq!(
-            groups.groups.len(),
-            slices.len(),
-            "one slice per scenario group"
-        );
-        SliceCache {
-            slices,
-            scenario_group: groups.scenario_group.clone(),
-        }
-    }
-
-    /// The (possibly shared) slice for query `index`.
-    pub fn slice_for(&self, index: usize) -> Arc<ProgramSliceResult> {
-        Arc::clone(&self.slices[self.scenario_group[index]])
-    }
-
-    /// Number of distinct slices computed.
-    pub fn computed(&self) -> usize {
-        self.slices.len()
-    }
-
-    /// Number of queries that reused a slice computed for an earlier member
-    /// of their group (the cache-hit count).
-    pub fn shared_hits(&self) -> usize {
-        self.scenario_group.len() - self.slices.len()
-    }
 }
 
 #[cfg(test)]
@@ -176,6 +151,10 @@ mod tests {
         assert_eq!(groups.groups.len(), 1);
         assert_eq!(groups.groups[0].members, vec![0, 1, 2]);
         assert_eq!(groups.scenario_group, vec![0, 0, 0]);
+        let singletons = ScenarioGroups::singletons(&normalized);
+        assert_eq!(singletons.groups.len(), 3);
+        assert_eq!(singletons.groups[2].members, vec![2]);
+        assert_eq!(singletons.scenario_group, vec![0, 1, 2]);
     }
 
     #[test]
@@ -203,19 +182,5 @@ mod tests {
         // … and different sets (almost surely) differ.
         assert_ne!(position_set_hash(&[1, 2, 3]), position_set_hash(&[1, 2, 4]));
         assert_ne!(position_set_hash(&[]), position_set_hash(&[0]));
-    }
-
-    #[test]
-    fn cache_hands_out_shared_slices() {
-        let normalized: Vec<NormalizedWhatIf> = [55, 60]
-            .iter()
-            .map(|&t| normalize(ModificationSet::single_replace(0, threshold(t))))
-            .collect();
-        let groups = group_scenarios(&normalized);
-        let slice = Arc::new(ProgramSliceResult::keep_all(3));
-        let cache = SliceCache::new(&groups, vec![Arc::clone(&slice)]);
-        assert!(Arc::ptr_eq(&cache.slice_for(0), &cache.slice_for(1)));
-        assert_eq!(cache.computed(), 1);
-        assert_eq!(cache.shared_hits(), 1);
     }
 }

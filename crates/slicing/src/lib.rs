@@ -42,7 +42,6 @@ pub use error::SlicingError;
 pub use greedy::{greedy_slice, GreedyConfig};
 pub use groups::{
     canonical_positions, group_scenarios, position_set_hash, ScenarioGroup, ScenarioGroups,
-    SliceCache,
 };
 pub use multi::{
     program_slice_multi, program_slice_multi_with_context, refine_slice_for_variant,

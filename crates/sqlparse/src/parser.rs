@@ -642,9 +642,9 @@ mod tests {
              FROM Order WHERE Country = 'UK'",
         )
         .unwrap();
-        let db = running_example_database();
-        let after = stmt.apply(&db).unwrap();
-        assert_eq!(after.relation("Order").unwrap().len(), 6);
+        let mut db = running_example_database();
+        stmt.apply(&mut db).unwrap();
+        assert_eq!(db.relation("Order").unwrap().len(), 6);
     }
 
     #[test]

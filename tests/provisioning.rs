@@ -221,3 +221,79 @@ fn without_plan_cache_neither_reads_nor_populates() {
     assert_same_answers(&cached, &opted_out, "cached vs opted-out");
     assert_eq!(session.stats().plan_cache_misses, 1);
 }
+
+/// Scenarios that are not grouped — every scenario of a method without
+/// program slicing, or a lone query — each run as a singleton plan. A cold
+/// run misses once per scenario and folds each plan's shared work into
+/// that scenario's own answer; the repeat answers every scenario from the
+/// cache and reenacts no original side.
+#[test]
+fn ungrouped_scenarios_are_cached_singleton_plans() {
+    let session = Session::with_history(
+        "retail",
+        running_example_database(),
+        History::new(running_example_history()),
+    )
+    .unwrap();
+    let run = || {
+        session
+            .on("retail")
+            .method(Method::ReenactDs)
+            .run_batch(sweep("t", 0, [55, 60, 65], |t| threshold(*t)))
+            .unwrap()
+    };
+
+    let before = session.stats();
+    let cold = run();
+    let after_cold = session.stats();
+    assert_eq!(after_cold.plan_cache_misses - before.plan_cache_misses, 3);
+    assert_eq!(after_cold.plan_cache_hits, before.plan_cache_hits);
+    // One relation in the running example: one original-side reenactment
+    // per singleton plan, each folded into its scenario's answer.
+    assert_eq!(cold.stats.original_reenactments, 3);
+    assert_eq!(
+        after_cold.original_reenactments - before.original_reenactments,
+        3
+    );
+    for s in &cold.scenarios {
+        assert!(!s.answer.stats.shared_work, "{} folds its own work", s.name);
+        assert_eq!(s.answer.stats.original_reenactments, 1, "{}", s.name);
+    }
+
+    let warm = run();
+    let after_warm = session.stats();
+    assert_eq!(after_warm.plan_cache_hits - after_cold.plan_cache_hits, 3);
+    assert_eq!(after_warm.plan_cache_misses, after_cold.plan_cache_misses);
+    assert_eq!(warm.stats.original_reenactments, 0);
+    assert_eq!(
+        after_warm.original_reenactments,
+        after_cold.original_reenactments
+    );
+    for s in &warm.scenarios {
+        assert!(
+            s.answer.stats.shared_work,
+            "{} answers from the cache",
+            s.name
+        );
+    }
+    assert_same_answers(&warm, &cold, "warm vs cold singleton plans");
+
+    // A cold single query with program slicing folds its slice's solver
+    // calls into its own answer.
+    let single = session
+        .on("retail")
+        .replace(0, threshold(70))
+        .method(Method::ReenactPsDs)
+        .run()
+        .unwrap();
+    assert_eq!(
+        session.stats().plan_cache_misses,
+        after_warm.plan_cache_misses + 1
+    );
+    assert!(single.answer().stats.solver_calls > 0);
+    assert!(!single.answer().stats.shared_work);
+    assert_eq!(
+        single.stats.solver_calls,
+        single.answer().stats.solver_calls
+    );
+}

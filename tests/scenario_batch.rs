@@ -269,8 +269,8 @@ fn insert_query_history_batches_match_singles() {
     }
 }
 
-/// The ablations (no slice sharing, single-threaded, greedy slicer) never
-/// change any delta.
+/// The configurations (thread counts, slice refinement, greedy slicer)
+/// never change any delta.
 #[test]
 fn batch_configurations_agree() {
     let session = running_example_session();
@@ -284,10 +284,8 @@ fn batch_configurations_agree() {
     .unwrap();
     let reference = set.answer_all(Method::ReenactPsDs).unwrap();
     let configs = [
-        BatchConfig::default().without_slice_sharing(),
         BatchConfig::default().with_parallelism(1),
         BatchConfig::default().with_parallelism(3),
-        BatchConfig::default().without_group_reenactment(),
         BatchConfig::default().with_slice_refinement(),
         BatchConfig {
             engine: mahif::EngineConfig {

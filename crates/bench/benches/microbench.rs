@@ -13,7 +13,6 @@ use mahif_bench::run_cell;
 use mahif_history::HistoricalWhatIf;
 use mahif_query::evaluate;
 use mahif_reenact::reenact_history;
-use mahif_scenario::{Scenario, ScenarioSet};
 use mahif_slicing::{data_slicing_conditions, program_slice, ProgramSlicingConfig};
 use mahif_solver::compile_to_milp;
 use mahif_workload::{Dataset, DatasetKind, WorkloadSpec};
@@ -173,15 +172,6 @@ fn bench_batch_scenarios(c: &mut Criterion) {
                         .unwrap()
                 })
                 .collect::<Vec<_>>()
-        })
-    });
-    group.bench_function("batch_k8", |b| {
-        b.iter(|| {
-            let mut set = ScenarioSet::over(&session, "bench");
-            for (name, m) in &sweep {
-                set.add(Scenario::new(name.clone(), m.clone())).unwrap();
-            }
-            set.answer_all(Method::ReenactPsDs).unwrap()
         })
     });
     group.bench_function("run_batch_k8", |b| {

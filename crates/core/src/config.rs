@@ -216,15 +216,12 @@ impl Deadline {
 /// default [`RefinePolicy::Auto`] applies a cost model: refine only when the
 /// group is large enough for the shared symbolic context to amortize the
 /// per-member solver calls *and* the union slice keeps enough statements
-/// that shrinking it can matter. The explicit policies remain as overrides
-/// (`Always` is the former `refine_slices: true`, `Never` the former
-/// `false`).
+/// that shrinking it can matter. `Always` and `Never` override the model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RefinePolicy {
-    /// Never refine (the pre-cost-model opt-out).
+    /// Never refine.
     Never,
-    /// Refine every member of every multi-member group (the pre-cost-model
-    /// opt-in).
+    /// Refine every member of every multi-member group.
     Always,
     /// Refine a member only when its group has at least `min_group_size`
     /// members and the group's union slice keeps at least `min_union_slice`

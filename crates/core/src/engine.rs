@@ -156,6 +156,20 @@ pub fn answer_normalized(
     plan.answer_in_group(normalized, versioned)
 }
 
+/// Work counters for the columnar reenactment path, threaded through
+/// [`reenact_side`] so one call site can attribute the work to either the
+/// plan's shared original-side phase or a member's answer.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct ColumnarCounters {
+    /// Per-relation reenactments answered batch-at-a-time.
+    pub batches: usize,
+    /// Flat predicate/projection programs evaluated vectorized.
+    pub predicates: usize,
+    /// Attempted columnar reenactments that declined and re-ran on the row
+    /// path (not counted when the path is disabled by configuration).
+    pub fallbacks: usize,
+}
+
 /// The once-per-group half of the reenactment engine.
 ///
 /// Scenarios whose normalizations share `(original, modified_positions)` —
@@ -187,20 +201,6 @@ pub fn answer_normalized(
 /// cross-request provisioning cache (see `crate::provision`) stores plans
 /// and answers later requests from them via
 /// [`answer_cached`](Self::answer_cached).
-/// Work counters for the columnar reenactment path, threaded through
-/// [`reenact_side`] so one call site can attribute the work to either the
-/// plan's shared original-side phase or a member's answer.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct ColumnarCounters {
-    /// Per-relation reenactments answered batch-at-a-time.
-    pub batches: usize,
-    /// Flat predicate/projection programs evaluated vectorized.
-    pub predicates: usize,
-    /// Attempted columnar reenactments that declined and re-ran on the row
-    /// path (not counted when the path is disabled by configuration).
-    pub fallbacks: usize,
-}
-
 #[derive(Debug)]
 pub struct GroupPlan {
     method: Method,

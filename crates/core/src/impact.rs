@@ -189,6 +189,111 @@ impl fmt::Display for ImpactReport {
     }
 }
 
+/// One scenario's position in a [`ScenarioComparison`].
+#[derive(Debug, Clone)]
+pub struct RankedScenario {
+    /// 1-based rank (1 = largest net change of the metric).
+    pub rank: usize,
+    /// The scenario's name.
+    pub name: String,
+    /// The scenario's impact report.
+    pub report: ImpactReport,
+}
+
+/// A request's scenarios ranked by the net change of its impact metric
+/// ("which threshold would have earned the most?"); see
+/// [`Response::ranking`](crate::Response::ranking).
+#[derive(Debug, Clone)]
+pub struct ScenarioComparison {
+    /// The analyzed relation.
+    pub relation: String,
+    /// The ranked metric's name.
+    pub metric_name: String,
+    /// The metric total over the current (actual) database state `H(D)`.
+    pub baseline: i64,
+    /// Scenarios, largest net change first; ties break by name.
+    pub entries: Vec<RankedScenario>,
+}
+
+impl ScenarioComparison {
+    /// Ranks named impact reports of one spec by net change, largest
+    /// first, ties broken by name. `None` when `reports` is empty or
+    /// carries no baseline.
+    pub(crate) fn rank(mut reports: Vec<(String, ImpactReport)>) -> Option<ScenarioComparison> {
+        reports.sort_by(|(a_name, a), (b_name, b)| {
+            b.net_change()
+                .cmp(&a.net_change())
+                .then_with(|| a_name.cmp(b_name))
+        });
+        let first = &reports.first()?.1;
+        let (relation, metric_name, baseline) = (
+            first.relation.clone(),
+            first.metric_name.clone(),
+            first.baseline?,
+        );
+        let entries = reports
+            .into_iter()
+            .enumerate()
+            .map(|(i, (name, report))| RankedScenario {
+                rank: i + 1,
+                name,
+                report,
+            })
+            .collect();
+        Some(ScenarioComparison {
+            relation,
+            metric_name,
+            baseline,
+            entries,
+        })
+    }
+
+    /// The scenario with the largest net change.
+    pub fn best(&self) -> Option<&RankedScenario> {
+        self.entries.first()
+    }
+
+    /// The entry for a scenario by name.
+    pub fn get(&self, name: &str) -> Option<&RankedScenario> {
+        self.entries.iter().find(|e| e.name == name)
+    }
+}
+
+impl fmt::Display for ScenarioComparison {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        writeln!(
+            f,
+            "scenario ranking by SUM({}) over {}:",
+            self.metric_name, self.relation
+        )?;
+        let name_width = self
+            .entries
+            .iter()
+            .map(|e| e.name.len())
+            .max()
+            .unwrap_or(0)
+            .max("scenario".len());
+        writeln!(
+            f,
+            "  {:>4}  {:<name_width$}  {:>12}  {:>12}  {:>10}",
+            "rank", "scenario", "net change", "hypo total", "rows"
+        )?;
+        for e in &self.entries {
+            let change = e.report.net_change();
+            writeln!(
+                f,
+                "  {:>4}  {:<name_width$}  {:>+12}  {:>12}  {:>10}",
+                e.rank,
+                e.name,
+                change,
+                self.baseline + change,
+                e.report.rows_changed()
+            )?;
+        }
+        writeln!(f, "  actual total: {}", self.baseline)
+    }
+}
+
 /// Computes the impact of a what-if delta according to `spec`.
 ///
 /// A delta that does not contain the spec's relation simply yields a zero

@@ -100,11 +100,13 @@ pub mod stats;
 pub use config::{Budget, Deadline, EngineConfig, Method, RefinePolicy};
 pub use engine::{answer_normalized, answer_what_if, compute_program_slice, GroupPlan};
 pub use error::{BudgetBreach, Error, ErrorKind, MahifError, Phase};
-pub use impact::{impact_of, GroupImpact, ImpactReport, ImpactSpec};
+pub use impact::{
+    impact_of, GroupImpact, ImpactReport, ImpactSpec, RankedScenario, ScenarioComparison,
+};
 pub use mahif_analyze::{AnalysisError, HistoryAnalysis};
 pub use mahif_query::QueryError;
 pub use provision::{CachedPlan, PlanCache, PlanKey, Provisioned, SessionConfig};
 pub use request::{ScenarioSpec, WhatIfRequest};
-pub use response::{batch_trace_spans, BatchStats, Response, ScenarioResponse};
+pub use response::{BatchStats, Response, ScenarioResponse};
 pub use session::{sweep, RegisteredHistory, Session, SessionMetrics, SessionStats};
 pub use stats::{EngineStats, PhaseTimings, WhatIfAnswer};

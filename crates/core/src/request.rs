@@ -43,8 +43,8 @@ use crate::session::Session;
 /// One named scenario of a request: a name plus the modification set it
 /// applies to the registered history.
 ///
-/// Tuples convert for free: `("threshold/60", mods).into()`. Higher layers
-/// (e.g. `mahif-scenario`'s `Scenario`) provide their own conversions.
+/// Tuples convert for free: `("threshold/60", mods).into()`, and
+/// [`sweep`](crate::sweep) builds one per value of a parameter sweep.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioSpec {
     name: String,
@@ -247,26 +247,10 @@ impl<'s> WhatIfRequest<'s> {
         self
     }
 
-    /// Forces per-member slice refinement for every multi-member group: a
-    /// group member whose own slice is smaller than the group's certified
-    /// union slice is re-sliced cheaply (reusing the group's symbolic
-    /// context) and answered with the smaller slice. This is the explicit
-    /// override over the default [`RefinePolicy::Auto`] cost model; see
+    /// Sets when a multi-member group's members are re-sliced below the
+    /// group's certified union slice (default: the [`RefinePolicy::Auto`]
+    /// cost model; `Always` and `Never` override it). See
     /// `EngineConfig::refine`.
-    pub fn with_slice_refinement(mut self) -> Self {
-        self.config.refine = RefinePolicy::Always;
-        self
-    }
-
-    /// Disables per-member slice refinement entirely (the explicit opt-out
-    /// override over the default [`RefinePolicy::Auto`] cost model).
-    pub fn without_slice_refinement(mut self) -> Self {
-        self.config.refine = RefinePolicy::Never;
-        self
-    }
-
-    /// Sets the refinement policy directly (e.g. an [`RefinePolicy::Auto`]
-    /// with custom thresholds).
     pub fn refine(mut self, policy: RefinePolicy) -> Self {
         self.config.refine = policy;
         self

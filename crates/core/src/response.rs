@@ -11,7 +11,7 @@ use std::time::Duration;
 use mahif_history::DatabaseDelta;
 
 use crate::config::Method;
-use crate::impact::ImpactReport;
+use crate::impact::{ImpactReport, ScenarioComparison};
 use crate::stats::WhatIfAnswer;
 
 /// Work statistics of one executed request.
@@ -211,11 +211,74 @@ impl Response {
     /// records durations, not per-worker offsets). Zero-duration children
     /// are omitted — a `ReenactPsDs` batch reports no `execute.copy`.
     pub fn trace_spans(&self, start: Duration) -> Vec<mahif_obs::Span> {
-        batch_trace_spans(
-            &self.stats,
-            self.scenarios.iter().map(|s| &s.answer.timings),
-            start,
-        )
+        let mut spans = Vec::new();
+        let push = |spans: &mut Vec<mahif_obs::Span>, name: &str, at: Duration, d: Duration| {
+            if !d.is_zero() {
+                spans.push(mahif_obs::Span {
+                    name: name.to_string(),
+                    start: at,
+                    duration: d,
+                });
+            }
+        };
+        let stats = &self.stats;
+        let plan = stats.normalize + stats.slicing;
+        push(&mut spans, "plan", start, plan);
+        push(&mut spans, "plan.normalize", start, stats.normalize);
+        push(
+            &mut spans,
+            "plan.slicing",
+            start + stats.normalize,
+            stats.slicing,
+        );
+        let exec_start = start + plan;
+        push(&mut spans, "execute", exec_start, stats.execution);
+        push(
+            &mut spans,
+            "execute.group",
+            exec_start,
+            stats.group_reenactment,
+        );
+        for (relation, duration) in &stats.plan_relations {
+            push(
+                &mut spans,
+                &format!("execute.group.{relation}"),
+                exec_start,
+                *duration,
+            );
+        }
+        // The per-scenario engine timings, summed across the batch.
+        let mut copy = Duration::ZERO;
+        let mut ps = Duration::ZERO;
+        let mut ds = Duration::ZERO;
+        let mut exe = Duration::ZERO;
+        let mut delta = Duration::ZERO;
+        for t in self.scenarios.iter().map(|s| &s.answer.timings) {
+            copy += t.copy;
+            ps += t.program_slicing;
+            ds += t.data_slicing;
+            exe += t.execution;
+            delta += t.delta;
+        }
+        push(&mut spans, "execute.copy", exec_start, copy);
+        push(&mut spans, "execute.program_slicing", exec_start, ps);
+        push(&mut spans, "execute.data_slicing", exec_start, ds);
+        push(&mut spans, "execute.reenact", exec_start, exe);
+        push(&mut spans, "execute.delta", exec_start, delta);
+        spans
+    }
+
+    /// The request's scenarios ranked by the net change of the impact
+    /// metric, largest first, ties broken by name, with 1-based ranks and
+    /// the metric's baseline over the current state. `None` when the
+    /// request carried no [`ImpactSpec`](crate::ImpactSpec).
+    pub fn ranking(&self) -> Option<ScenarioComparison> {
+        let reports = self
+            .scenarios
+            .iter()
+            .map(|s| Some((s.name.clone(), s.impact.clone()?)))
+            .collect::<Option<Vec<_>>>()?;
+        ScenarioComparison::rank(reports)
     }
 
     /// Consumes the response into the first scenario's answer (the whole
@@ -227,73 +290,6 @@ impl Response {
             .expect("a response answers >= 1 scenario")
             .answer
     }
-}
-
-/// The span conversion behind [`Response::trace_spans`], usable by any
-/// holder of a [`BatchStats`] plus the batch's per-scenario
-/// [`PhaseTimings`](crate::PhaseTimings) (e.g. `mahif-scenario`'s
-/// `BatchAnswer`, which drops the `Response` wrapper). See
-/// [`Response::trace_spans`] for the span vocabulary and the
-/// parallel-work caveats.
-pub fn batch_trace_spans<'a>(
-    stats: &BatchStats,
-    member_timings: impl Iterator<Item = &'a crate::stats::PhaseTimings>,
-    start: Duration,
-) -> Vec<mahif_obs::Span> {
-    let mut spans = Vec::new();
-    let push = |spans: &mut Vec<mahif_obs::Span>, name: &str, at: Duration, d: Duration| {
-        if !d.is_zero() {
-            spans.push(mahif_obs::Span {
-                name: name.to_string(),
-                start: at,
-                duration: d,
-            });
-        }
-    };
-    let plan = stats.normalize + stats.slicing;
-    push(&mut spans, "plan", start, plan);
-    push(&mut spans, "plan.normalize", start, stats.normalize);
-    push(
-        &mut spans,
-        "plan.slicing",
-        start + stats.normalize,
-        stats.slicing,
-    );
-    let exec_start = start + plan;
-    push(&mut spans, "execute", exec_start, stats.execution);
-    push(
-        &mut spans,
-        "execute.group",
-        exec_start,
-        stats.group_reenactment,
-    );
-    for (relation, duration) in &stats.plan_relations {
-        push(
-            &mut spans,
-            &format!("execute.group.{relation}"),
-            exec_start,
-            *duration,
-        );
-    }
-    // The per-scenario engine timings, summed across the batch.
-    let mut copy = Duration::ZERO;
-    let mut ps = Duration::ZERO;
-    let mut ds = Duration::ZERO;
-    let mut exe = Duration::ZERO;
-    let mut delta = Duration::ZERO;
-    for t in member_timings {
-        copy += t.copy;
-        ps += t.program_slicing;
-        ds += t.data_slicing;
-        exe += t.execution;
-        delta += t.delta;
-    }
-    push(&mut spans, "execute.copy", exec_start, copy);
-    push(&mut spans, "execute.program_slicing", exec_start, ps);
-    push(&mut spans, "execute.data_slicing", exec_start, ds);
-    push(&mut spans, "execute.reenact", exec_start, exe);
-    push(&mut spans, "execute.delta", exec_start, delta);
-    spans
 }
 
 impl<'a> IntoIterator for &'a Response {

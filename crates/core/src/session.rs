@@ -796,9 +796,8 @@ impl Session {
     /// Executes a request through the explicit three-phase lifecycle
     /// (admit → plan → execute; see the [module docs](self)). This is the
     /// single funnel every public entry point goes through — `run()`,
-    /// `run_batch(..)`, `mahif-scenario`'s `ScenarioSet` and any serving
-    /// layer all end here, so batch optimizations and budget enforcement
-    /// reach every entry point.
+    /// `run_batch(..)` and any serving layer all end here, so batch
+    /// optimizations and budget enforcement reach every entry point.
     pub fn execute(&self, request: WhatIfRequest<'_>) -> Result<Response, Error> {
         let parts = request.into_parts()?;
         let admitted = self.admit(parts)?;
@@ -1514,10 +1513,11 @@ impl Session {
     }
 }
 
-/// Convenience: `session.on(..).run_batch(pairs)` accepts
-/// `(name, ModificationSet)` tuples; this free function builds the same
-/// pairs from a sweep closure, mirroring
-/// `mahif-scenario`'s `Scenario::sweep_replace_values` at the core layer.
+/// Builds a parameter sweep for `session.on(..).run_batch(..)`: one
+/// scenario per value, named `"{prefix}/{value}"`, each replacing the
+/// statement at `position` with `make(value)`. Every scenario modifies the
+/// same position, so the batch answers them with one shared program slice;
+/// add `.impact(spec)` and read [`Response::ranking`] to rank the values.
 pub fn sweep<V: std::fmt::Display>(
     prefix: &str,
     position: usize,
@@ -1821,7 +1821,7 @@ mod tests {
         let refined = s
             .on("retail")
             .method(Method::ReenactPsDs)
-            .with_slice_refinement()
+            .refine(RefinePolicy::Always)
             .run_batch(sweep("threshold", 0, thresholds, |t| threshold(*t)))
             .unwrap();
         assert!(
@@ -1839,7 +1839,7 @@ mod tests {
         let never = s
             .on("retail")
             .method(Method::ReenactPsDs)
-            .without_slice_refinement()
+            .refine(RefinePolicy::Never)
             .run_batch(sweep("threshold", 0, thresholds, |t| threshold(*t)))
             .unwrap();
         assert_eq!(never.stats.refined_slices, 0);
@@ -1886,7 +1886,7 @@ mod tests {
         let never = s
             .on("retail")
             .method(Method::ReenactPsDs)
-            .without_slice_refinement()
+            .refine(RefinePolicy::Never)
             .run_batch(sweep("threshold", 0, thresholds, |t| threshold(*t)))
             .unwrap();
         assert_eq!(never.stats.refined_slices, 0);
@@ -2134,5 +2134,35 @@ mod tests {
         assert_eq!(clone.stats().requests + 1, s.stats().requests);
         // Policy knob: `RefinePolicy` default is the Auto cost model.
         assert_eq!(EngineConfig::default().refine, RefinePolicy::auto());
+    }
+
+    #[test]
+    fn parallelism_one_runs_on_one_thread() {
+        let response = session()
+            .on("retail")
+            .parallelism(1)
+            .run_batch(sweep("threshold", 0, [55i64, 60, 65], |t| threshold(*t)))
+            .unwrap();
+        assert_eq!(response.stats.threads, 1);
+        assert!(response.stats.total >= response.stats.execution);
+    }
+
+    #[test]
+    fn a_subset_of_a_provisioned_sweep_hits_its_plan() {
+        let s = session();
+        let batch = |values: &[i64]| sweep("threshold", 0, values.to_vec(), |t| threshold(*t));
+        s.on("retail")
+            .run_batch(batch(&[55, 60, 65, 70, 75]))
+            .unwrap();
+        assert_eq!(s.stats().plan_cache_hits, 0);
+        // The sweep's group plan certifies each member, so a two-member
+        // subset answers from it.
+        let subset = s.on("retail").run_batch(batch(&[60, 70])).unwrap();
+        assert!(s.stats().plan_cache_hits > 0);
+        for t in [60, 70] {
+            let name = format!("threshold/{t}");
+            let single = s.on("retail").replace(0, threshold(t)).run().unwrap();
+            assert_eq!(&subset.get(&name).unwrap().answer.delta, single.delta());
+        }
     }
 }

@@ -7,19 +7,20 @@
 //! answers all five over the registered history: the session funnel
 //! normalizes each scenario once, computes **one** shared program slice for
 //! the whole sweep, runs the scenarios in parallel and attaches an impact
-//! report per scenario. The `ScenarioSet` layer then ranks the thresholds
-//! by shipping-fee revenue.
+//! report per scenario, and the response ranks the thresholds by
+//! shipping-fee revenue.
 //!
 //! Run with:
 //! ```text
 //! cargo run --example scenario_sweep
 //! ```
 
+use std::cmp::Reverse;
+
 use mahif::{sweep, ImpactSpec, Method, Session};
 use mahif_expr::builder::*;
 use mahif_history::statement::{running_example_database, running_example_history};
 use mahif_history::{History, SetClause, Statement};
-use mahif_scenario::{Scenario, ScenarioSet};
 
 fn threshold(t: i64) -> Statement {
     Statement::update(
@@ -69,26 +70,28 @@ fn main() {
         );
     }
 
-    // The ScenarioSet layer offers the same sweep with named scenarios and
-    // a ranked impact table.
-    let mut set = ScenarioSet::over(&session, "retail");
-    set.add_all(Scenario::sweep_replace_values(
-        "threshold",
-        0,
-        [55i64, 60, 65, 70, 75],
-        |t| threshold(*t),
-    ))
-    .expect("scenario names are unique");
-    let batch = set
-        .answer_all(Method::ReenactPsDs)
-        .expect("batch answering succeeds");
-    let ranking = batch
-        .rank_by_with_baseline(
-            &ImpactSpec::sum_of("Order", "ShippingFee"),
-            session.history("retail").unwrap().current_state(),
-        )
-        .expect("impact ranking succeeds");
+    // The same response ranks the thresholds by the impact metric.
+    let ranking = response.ranking().expect("impact was requested");
     println!("\n{ranking}");
+    // It leads with the largest net change printed above (a tie goes to
+    // the smaller name), and its ranks run 1..k.
+    let (largest, Reverse(name)) = response
+        .iter()
+        .map(|s| {
+            (
+                s.impact.as_ref().unwrap().net_change(),
+                Reverse(s.name.as_str()),
+            )
+        })
+        .max()
+        .expect("the sweep is not empty");
+    let best = ranking.best().expect("the sweep is not empty");
+    assert_eq!(
+        (best.name.as_str(), best.report.net_change()),
+        (name, largest)
+    );
+    let ranks: Vec<usize> = ranking.entries.iter().map(|e| e.rank).collect();
+    assert_eq!(ranks, (1..=response.len()).collect::<Vec<_>>());
 
     // The batch answers are exactly the single-query answers — single
     // queries are batches of one through the same funnel.

@@ -7,7 +7,7 @@
 
 use proptest::prelude::*;
 
-use mahif::{Method, Session};
+use mahif::{Method, RefinePolicy, Session};
 use mahif_expr::builder::*;
 use mahif_expr::Expr;
 use mahif_history::{
@@ -272,7 +272,7 @@ proptest! {
         let refined = session
             .on("prop")
             .method(Method::ReenactPsDs)
-            .with_slice_refinement()
+            .refine(RefinePolicy::Always)
             .run_batch(scenarios.clone())
             .expect("refined batch succeeds");
         for (name, mods) in &scenarios {

@@ -1,15 +1,16 @@
-//! Batch-vs-single equivalence: `ScenarioSet::answer_all` must produce
-//! exactly the delta of k independent single-query requests, for every
+//! Batch-vs-single equivalence: `run_batch` must produce exactly the delta
+//! of k independent single-query requests, for every
 //! execution method — including scenario groups that share one program
 //! slice (the cache-hit path) and randomly generated scenario batches.
 
 use proptest::prelude::*;
 
-use mahif::{ImpactSpec, Method, Session};
+use mahif::{
+    sweep, EngineConfig, ImpactSpec, Method, RefinePolicy, Response, ScenarioSpec, Session,
+};
 use mahif_expr::builder::*;
 use mahif_history::statement::{running_example_database, running_example_history};
 use mahif_history::{History, Modification, ModificationSet, SetClause, Statement};
-use mahif_scenario::{BatchConfig, Scenario, ScenarioSet};
 use mahif_slicing::{program_slice, program_slice_multi, ProgramSlicingConfig};
 use mahif_storage::{Attribute, Database, Relation, Schema, Tuple};
 use mahif_workload::{Dataset, DatasetKind, WorkloadSpec};
@@ -31,17 +32,26 @@ fn threshold(t: i64) -> Statement {
     )
 }
 
+/// Answers `set` as one batch request.
+fn run_batch(session: &Session, history: &str, set: &[ScenarioSpec], method: Method) -> Response {
+    session
+        .on(history)
+        .method(method)
+        .run_batch(set.iter().cloned())
+        .unwrap()
+}
+
 /// Asserts that every scenario of `set` gets the same delta from the batch
 /// as from an independent single-query request, for the given method.
 fn assert_batch_matches_singles(
     session: &Session,
     history: &str,
-    set: &ScenarioSet<'_>,
+    set: &[ScenarioSpec],
     method: Method,
 ) {
-    let batch = set.answer_all(method).unwrap();
-    assert_eq!(batch.answers.len(), set.len());
-    for (scenario, answer) in set.scenarios().iter().zip(&batch.answers) {
+    let batch = run_batch(session, history, set, method);
+    assert_eq!(batch.scenarios.len(), set.len());
+    for (scenario, answer) in set.iter().zip(&batch.scenarios) {
         let single = session
             .on(history)
             .modifications(scenario.modifications().clone())
@@ -63,19 +73,14 @@ fn assert_batch_matches_singles(
 #[test]
 fn k8_sweep_matches_singles_across_methods() {
     let session = running_example_session();
-    let mut set = ScenarioSet::over(&session, "retail");
-    set.add_all(Scenario::sweep_replace_values(
-        "threshold",
-        0,
-        [42i64, 48, 52, 55, 60, 65, 75, 100],
-        |t| threshold(*t),
-    ))
-    .unwrap();
+    let set = sweep("threshold", 0, [42i64, 48, 52, 55, 60, 65, 75, 100], |t| {
+        threshold(*t)
+    });
     assert_eq!(set.len(), 8);
     // The cold batch first: the stats assert the within-batch sharing the
     // paper promises, which only the first run of a sweep performs — later
     // identical batches answer from the session's provisioning cache.
-    let batch = set.answer_all(Method::ReenactPsDs).unwrap();
+    let batch = run_batch(&session, "retail", &set, Method::ReenactPsDs);
     assert_eq!(batch.stats.slice_groups, 1, "a sweep shares one slice");
     assert_eq!(batch.stats.shared_slice_hits, 7);
     for method in Method::all() {
@@ -92,45 +97,41 @@ fn k8_sweep_matches_singles_across_methods() {
 #[test]
 fn heterogeneous_batch_matches_singles_across_methods() {
     let session = running_example_session();
-    let mut set = ScenarioSet::over(&session, "retail");
-    set.add(Scenario::new(
-        "replace-u1",
-        ModificationSet::single_replace(0, threshold(60)),
-    ))
-    .unwrap();
-    set.add(Scenario::new(
-        "replace-u1-low",
-        ModificationSet::single_replace(0, threshold(40)),
-    ))
-    .unwrap();
-    set.add(Scenario::new(
-        "drop-u2",
-        ModificationSet::new(vec![Modification::delete(1)]),
-    ))
-    .unwrap();
-    set.add(Scenario::new(
-        "extra-us-surcharge",
-        ModificationSet::new(vec![Modification::insert(
-            3,
-            Statement::update(
-                "Order",
-                SetClause::single("ShippingFee", add(attr("ShippingFee"), lit(1))),
-                eq(attr("Country"), slit("US")),
-            ),
-        )]),
-    ))
-    .unwrap();
-    set.add(Scenario::new(
-        "replace-and-delete",
-        ModificationSet::new(vec![
-            Modification::replace(0, threshold(70)),
-            Modification::delete(2),
-        ]),
-    ))
-    .unwrap();
+    let set = [
+        ScenarioSpec::new(
+            "replace-u1",
+            ModificationSet::single_replace(0, threshold(60)),
+        ),
+        ScenarioSpec::new(
+            "replace-u1-low",
+            ModificationSet::single_replace(0, threshold(40)),
+        ),
+        ScenarioSpec::new(
+            "drop-u2",
+            ModificationSet::new(vec![Modification::delete(1)]),
+        ),
+        ScenarioSpec::new(
+            "extra-us-surcharge",
+            ModificationSet::new(vec![Modification::insert(
+                3,
+                Statement::update(
+                    "Order",
+                    SetClause::single("ShippingFee", add(attr("ShippingFee"), lit(1))),
+                    eq(attr("Country"), slit("US")),
+                ),
+            )]),
+        ),
+        ScenarioSpec::new(
+            "replace-and-delete",
+            ModificationSet::new(vec![
+                Modification::replace(0, threshold(70)),
+                Modification::delete(2),
+            ]),
+        ),
+    ];
     // Cold first: within-batch sharing stats are a first-run property (a
     // warm batch reuses cached plans and computes no slice at all).
-    let batch = set.answer_all(Method::ReenactPsDs).unwrap();
+    let batch = run_batch(&session, "retail", &set, Method::ReenactPsDs);
     // The two u1 replacements share a group; the others are singletons.
     assert_eq!(batch.stats.slice_groups, 4);
     assert_eq!(batch.stats.shared_slice_hits, 1);
@@ -169,22 +170,14 @@ fn insert_history_batches_match_singles_across_methods() {
         History::new(statements),
     )
     .unwrap();
-    let mut set = ScenarioSet::over(&session, "retail");
     // A slice-sharing sweep (one group) plus heterogeneous members that
     // modify the history around the insert.
-    set.add_all(Scenario::sweep_replace_values(
-        "threshold",
-        0,
-        [48i64, 55, 60, 70],
-        |t| threshold(*t),
-    ))
-    .unwrap();
-    set.add(Scenario::new(
+    let mut set = sweep("threshold", 0, [48i64, 55, 60, 70], |t| threshold(*t));
+    set.push(ScenarioSpec::new(
         "drop-insert",
         ModificationSet::new(vec![Modification::delete(3)]),
-    ))
-    .unwrap();
-    set.add(Scenario::new(
+    ));
+    set.push(ScenarioSpec::new(
         "late-update",
         ModificationSet::single_replace(
             4,
@@ -194,30 +187,26 @@ fn insert_history_batches_match_singles_across_methods() {
                 ge(attr("Price"), lit(54)),
             ),
         ),
-    ))
-    .unwrap();
+    ));
     // Cold first: the sweep's group shares one original-side reenactment —
     // a first-run property, since a warm batch reuses cached plans.
-    let batch = set.answer_all(Method::ReenactPsDs).unwrap();
+    let batch = run_batch(&session, "retail", &set, Method::ReenactPsDs);
     assert_eq!(batch.stats.slice_groups, 3);
     assert_eq!(batch.stats.original_reenactments, 3);
     for method in Method::all() {
         assert_batch_matches_singles(&session, "retail", &set, method);
     }
     // The disable-insert-split ablation agrees too.
-    let no_split = set
-        .answer_all_configured(
-            Method::ReenactPsDs,
-            &BatchConfig {
-                engine: mahif::EngineConfig {
-                    disable_insert_split: true,
-                    ..Default::default()
-                },
-                ..Default::default()
-            },
-        )
+    let no_split = session
+        .on("retail")
+        .method(Method::ReenactPsDs)
+        .config(EngineConfig {
+            disable_insert_split: true,
+            ..Default::default()
+        })
+        .run_batch(set.iter().cloned())
         .unwrap();
-    for (a, b) in batch.answers.iter().zip(&no_split.answers) {
+    for (a, b) in batch.scenarios.iter().zip(&no_split.scenarios) {
         assert_eq!(a.answer.delta, b.answer.delta, "{}", a.name);
     }
 }
@@ -256,14 +245,7 @@ fn insert_query_history_batches_match_singles() {
         ),
     ));
     let session = Session::with_history("retail", db, History::new(statements)).unwrap();
-    let mut set = ScenarioSet::over(&session, "retail");
-    set.add_all(Scenario::sweep_replace_values(
-        "threshold",
-        0,
-        [50i64, 55, 60],
-        |t| threshold(*t),
-    ))
-    .unwrap();
+    let set = sweep("threshold", 0, [50i64, 55, 60], |t| threshold(*t));
     for method in Method::all() {
         assert_batch_matches_singles(&session, "retail", &set, method);
     }
@@ -274,33 +256,25 @@ fn insert_query_history_batches_match_singles() {
 #[test]
 fn batch_configurations_agree() {
     let session = running_example_session();
-    let mut set = ScenarioSet::over(&session, "retail");
-    set.add_all(Scenario::sweep_replace_values(
-        "threshold",
-        0,
-        [55i64, 60, 65, 70],
-        |t| threshold(*t),
-    ))
-    .unwrap();
-    let reference = set.answer_all(Method::ReenactPsDs).unwrap();
+    let set = sweep("threshold", 0, [55i64, 60, 65, 70], |t| threshold(*t));
+    let reference = run_batch(&session, "retail", &set, Method::ReenactPsDs);
+    let request = || session.on("retail").method(Method::ReenactPsDs);
     let configs = [
-        BatchConfig::default().with_parallelism(1),
-        BatchConfig::default().with_parallelism(3),
-        BatchConfig::default().with_slice_refinement(),
-        BatchConfig {
-            engine: mahif::EngineConfig {
+        ("one thread", request().parallelism(1)),
+        ("three threads", request().parallelism(3)),
+        ("refine always", request().refine(RefinePolicy::Always)),
+        (
+            "greedy slicer",
+            request().config(EngineConfig {
                 use_greedy_slicer: true,
                 ..Default::default()
-            },
-            ..Default::default()
-        },
+            }),
+        ),
     ];
-    for config in &configs {
-        let batch = set
-            .answer_all_configured(Method::ReenactPsDs, config)
-            .unwrap();
-        for (a, b) in reference.answers.iter().zip(&batch.answers) {
-            assert_eq!(a.answer.delta, b.answer.delta, "config {config:?}");
+    for (config, request) in configs {
+        let batch = request.run_batch(set.iter().cloned()).unwrap();
+        for (a, b) in reference.scenarios.iter().zip(&batch.scenarios) {
+            assert_eq!(a.answer.delta, b.answer.delta, "config {config}");
         }
     }
 }
@@ -314,13 +288,14 @@ fn generated_workload_sweep_matches_singles() {
     let workload = WorkloadSpec::default().with_updates(12).generate(&dataset);
     let session =
         Session::with_history("taxi", dataset.database.clone(), workload.history.clone()).unwrap();
-    let mut set = ScenarioSet::over(&session, "taxi");
-    for (name, mods) in workload.sweep_variants(6) {
-        set.add(Scenario::new(name, mods)).unwrap();
-    }
+    let set: Vec<ScenarioSpec> = workload
+        .sweep_variants(6)
+        .into_iter()
+        .map(Into::into)
+        .collect();
     // Cold first (within-batch sharing is a first-run property; warm
     // batches answer from the provisioning cache).
-    let batch = set.answer_all(Method::ReenactPsDs).unwrap();
+    let batch = run_batch(&session, "taxi", &set, Method::ReenactPsDs);
     assert_eq!(batch.stats.slice_groups, 1);
     assert_eq!(batch.stats.shared_slice_hits, 5);
     for method in [Method::Naive, Method::ReenactDs, Method::ReenactPsDs] {
@@ -381,13 +356,13 @@ fn generated_sweep_ranking_is_monotone() {
     let workload = WorkloadSpec::default().with_updates(8).generate(&dataset);
     let session =
         Session::with_history("taxi", dataset.database.clone(), workload.history.clone()).unwrap();
-    let mut set = ScenarioSet::over(&session, "taxi");
-    for (name, mods) in workload.sweep_variants(4) {
-        set.add(Scenario::new(name, mods)).unwrap();
-    }
-    let batch = set.answer_all(Method::ReenactPsDs).unwrap();
-    let ranking = batch
-        .rank_by(&ImpactSpec::sum_of("taxi_trips", "fare"))
+    let ranking = session
+        .on("taxi")
+        .method(Method::ReenactPsDs)
+        .impact(ImpactSpec::sum_of("taxi_trips", "fare"))
+        .run_batch(workload.sweep_variants(4))
+        .unwrap()
+        .ranking()
         .unwrap();
     // The modified statement updates `fare` (the first value attribute) and
     // sweep_variants adds `5 + v` on top, so the fare impact grows with v:
@@ -475,21 +450,25 @@ proptest! {
         let db = database(25, &values);
         let history = History::new(statements.iter().map(|s| s.to_statement()).collect());
         let session = Session::with_history("r", db, history).expect("history executes");
-        let mut set = ScenarioSet::over(&session, "r");
         let k = replacements.len().min(position_seeds.len());
-        for i in 0..k {
-            // Half the scenarios pin position 0 so groups form; the rest
-            // scatter over the history.
-            let position = if i % 2 == 0 { 0 } else { position_seeds[i] % statements.len() };
-            set.add(Scenario::new(
-                format!("s{i}"),
-                ModificationSet::single_replace(position, replacements[i].to_statement()),
-            ))
-            .expect("unique names");
-        }
+        let set: Vec<ScenarioSpec> = (0..k)
+            .map(|i| {
+                // Half the scenarios pin position 0 so groups form; the rest
+                // scatter over the history.
+                let position = if i % 2 == 0 { 0 } else { position_seeds[i] % statements.len() };
+                ScenarioSpec::new(
+                    format!("s{i}"),
+                    ModificationSet::single_replace(position, replacements[i].to_statement()),
+                )
+            })
+            .collect();
         for method in Method::all() {
-            let batch = set.answer_all(method).expect("batch succeeds");
-            for (scenario, answer) in set.scenarios().iter().zip(&batch.answers) {
+            let batch = session
+                .on("r")
+                .method(method)
+                .run_batch(set.iter().cloned())
+                .expect("batch succeeds");
+            for (scenario, answer) in set.iter().zip(&batch.scenarios) {
                 let single = session
                     .on("r")
                     .modifications(scenario.modifications().clone())

@@ -4,12 +4,16 @@
 //!   the registered states `D` and `H(D)` (observable via `Session::stats`);
 //! * error paths surface the unified `mahif::Error` and its `Display`
 //!   names the offending scenario and history;
-//! * `Method` round-trips its paper labels through `Display`/`FromStr`.
+//! * `Method` round-trips its paper labels through `Display`/`FromStr`;
+//! * `Response::ranking` orders a batch's impact reports, and
+//!   `Response::trace_spans` names the batch's phases.
 
-use mahif::{ErrorKind, Method, Session};
+use std::time::Duration;
+
+use mahif::{ErrorKind, ImpactSpec, Method, Session};
 use mahif_expr::builder::*;
 use mahif_history::statement::{running_example_database, running_example_history};
-use mahif_history::{History, SetClause, Statement};
+use mahif_history::{History, ModificationSet, SetClause, Statement};
 
 fn retail_session() -> Session {
     Session::with_history(
@@ -159,4 +163,98 @@ fn method_labels_round_trip() {
     let err = "fancy".parse::<Method>().unwrap_err();
     assert!(matches!(err.kind, ErrorKind::UnknownMethod(_)));
     assert!(err.to_string().contains("fancy"));
+}
+
+/// `Response::ranking` orders the impact reports by net change, largest
+/// first, breaks ties by name and numbers the ranks from 1; each entry
+/// carries the baseline over `H(D)`. Without `.impact(..)` there is no
+/// ranking.
+#[test]
+fn ranking_orders_impacts_and_breaks_ties_by_name() {
+    let session = retail_session();
+    let scenario =
+        |name: &'static str, t: i64| (name, ModificationSet::single_replace(0, threshold(t)));
+    // "zeta" and "alpha" ask the same question, so they tie.
+    let batch = [
+        scenario("zeta", 60),
+        scenario("alpha", 60),
+        scenario("mid", 100),
+    ];
+    let response = session
+        .on("retail")
+        .impact(ImpactSpec::sum_of("Order", "ShippingFee"))
+        .run_batch(batch.clone())
+        .unwrap();
+    let ranking = response.ranking().unwrap();
+    let order: Vec<(usize, &str)> = ranking
+        .entries
+        .iter()
+        .map(|e| (e.rank, e.name.as_str()))
+        .collect();
+    // A higher free-shipping threshold waives fewer fees.
+    assert_eq!(order, [(1, "mid"), (2, "alpha"), (3, "zeta")]);
+    assert_eq!(ranking.best().unwrap().name, "mid");
+    let changes: Vec<i64> = ranking
+        .entries
+        .iter()
+        .map(|e| e.report.net_change())
+        .collect();
+    assert!(
+        changes[0] > changes[1] && changes[1] == changes[2],
+        "{changes:?}"
+    );
+    // Current fees total 17 (Figure 3); threshold 60 charges Alex 5 more.
+    assert_eq!(ranking.baseline, 17);
+    let alpha = ranking.get("alpha").unwrap();
+    assert_eq!(alpha.report.net_change(), 5);
+    assert_eq!(alpha.report.hypothetical_total(), Some(22));
+    assert_eq!(
+        (ranking.relation.as_str(), ranking.metric_name.as_str()),
+        ("Order", "ShippingFee")
+    );
+
+    let text = ranking.to_string();
+    assert!(
+        text.starts_with("scenario ranking by SUM(ShippingFee) over Order:\n"),
+        "{text}"
+    );
+    assert!(
+        text.contains("net change") && text.contains("hypo total"),
+        "{text}"
+    );
+    assert!(text.contains("actual total: 17"), "{text}");
+
+    let unranked = session.on("retail").run_batch(batch).unwrap();
+    assert!(unranked.ranking().is_none());
+}
+
+/// `Response::trace_spans` over a 3-member sweep names the plan and
+/// execute phases and the group plan's per-relation work, offsets every
+/// span by `start` and omits zero-duration spans.
+#[test]
+fn trace_spans_cover_the_batch_phases() {
+    let session = retail_session();
+    let response = session
+        .on("retail")
+        .method(Method::ReenactPsDs)
+        .run_batch(mahif::sweep("threshold", 0, [55i64, 60, 65], |t| {
+            threshold(*t)
+        }))
+        .unwrap();
+    let start = Duration::from_millis(1);
+    let spans = response.trace_spans(start);
+    let names: Vec<&str> = spans.iter().map(|s| s.name.as_str()).collect();
+    assert!(names.contains(&"plan"), "{names:?}");
+    assert!(names.contains(&"execute"), "{names:?}");
+    // The sweep forms one multi-member group, so the group plan's shared
+    // reenactment appears with per-relation children.
+    assert!(names.contains(&"execute.group"), "{names:?}");
+    assert!(
+        names.iter().any(|n| n.starts_with("execute.group.")),
+        "{names:?}"
+    );
+    for span in &spans {
+        assert!(span.start >= start, "spans are offset by `start`");
+        assert!(!span.duration.is_zero(), "zero-duration spans are omitted");
+    }
 }

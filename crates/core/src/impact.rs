@@ -73,6 +73,27 @@ impl ImpactSpec {
         self.group_by.push(attr.into());
         self
     }
+
+    /// The metric's `SUM` over the relation in `current_state`: the
+    /// baseline that every scenario's report on the same history shares.
+    pub fn baseline(&self, current_state: &Database) -> Result<i64, MahifError> {
+        let rel = current_state.relation(&self.relation)?;
+        let agg = aggregate_relation(
+            rel,
+            &[],
+            &[Aggregate::new(
+                mahif_query::AggFunc::Sum,
+                self.metric.clone(),
+                "baseline",
+            )],
+        )?;
+        Ok(agg
+            .tuples
+            .first()
+            .and_then(|t| t.value(0))
+            .and_then(|v| v.as_int())
+            .unwrap_or(0))
+    }
 }
 
 /// Impact of the hypothetical change on one group.
@@ -110,7 +131,7 @@ pub struct ImpactReport {
     /// group-by attributes).
     pub groups: Vec<GroupImpact>,
     /// The metric total over the *current* database state `H(D)`, when a
-    /// baseline was requested (see [`ImpactReport::with_baseline`] /
+    /// baseline was requested (see [`ImpactSpec::baseline`] /
     /// [`crate::WhatIfRequest::impact`]).
     pub baseline: Option<i64>,
 }
@@ -131,33 +152,6 @@ impl ImpactReport {
     /// Number of annotated tuples in the analyzed relation delta.
     pub fn rows_changed(&self) -> usize {
         self.overall.rows_added + self.overall.rows_removed
-    }
-
-    /// Attaches the metric total over the current database state, turning
-    /// the relative impact into absolute before/after numbers.
-    pub fn with_baseline(
-        mut self,
-        current_state: &Database,
-        spec: &ImpactSpec,
-    ) -> Result<ImpactReport, MahifError> {
-        let rel = current_state.relation(&self.relation)?;
-        let agg = aggregate_relation(
-            rel,
-            &[],
-            &[Aggregate::new(
-                mahif_query::AggFunc::Sum,
-                spec.metric.clone(),
-                "baseline",
-            )],
-        )?;
-        let total = agg
-            .tuples
-            .first()
-            .and_then(|t| t.value(0))
-            .and_then(|v| v.as_int())
-            .unwrap_or(0);
-        self.baseline = Some(total);
-        Ok(self)
     }
 }
 
@@ -472,11 +466,11 @@ mod tests {
     fn baseline_turns_change_into_before_after() {
         let session = session();
         let spec = ImpactSpec::sum_of("Order", "ShippingFee");
-        let report = answer()
-            .impact(&spec)
-            .unwrap()
-            .with_baseline(session.history("retail").unwrap().current_state(), &spec)
-            .unwrap();
+        let mut report = answer().impact(&spec).unwrap();
+        report.baseline = Some(
+            spec.baseline(session.history("retail").unwrap().current_state())
+                .unwrap(),
+        );
         // Current fees (Figure 3): 8 + 5 + 0 + 4 = 17; hypothetical: 22.
         assert_eq!(report.baseline, Some(17));
         assert_eq!(report.hypothetical_total(), Some(22));

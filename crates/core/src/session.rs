@@ -85,6 +85,7 @@ use mahif_storage::{Database, VersionedDatabase};
 use crate::config::{Deadline, EngineConfig, Method};
 use crate::engine::{answer_normalized, answer_what_if, compute_program_slice, GroupPlan};
 use crate::error::{BudgetBreach, Error, ErrorKind, Phase};
+use crate::impact::ImpactReport;
 use crate::pool::{collect_results, resolve_parallelism, run_indexed};
 use crate::provision::{CachedPlan, PlanKey, Provisioned, SessionConfig};
 use crate::request::{RequestParts, ScenarioSpec, WhatIfRequest};
@@ -1403,20 +1404,32 @@ impl Session {
         }
 
         // Optional impact phase: reduce each delta to an aggregate report
-        // with the metric baseline taken from the current state.
+        // with the metric baseline taken from the current state. The
+        // baseline is one `SUM` over `H(D)` for the whole request, taken
+        // when the first report needs it.
         let reports = match &req.impact {
             None => vec![None; answers.len()],
-            Some(spec) => answers
-                .iter()
-                .zip(&specs)
-                .map(|(answer, s)| {
-                    answer
-                        .impact(spec)
-                        .and_then(|report| report.with_baseline(registered.current_state(), spec))
-                        .map(Some)
-                        .map_err(|e| req.context(e, Phase::Impact, s))
-                })
-                .collect::<Result<Vec<_>, Error>>()?,
+            Some(spec) => {
+                let mut baseline = None;
+                let mut report_for = |answer: &WhatIfAnswer| -> Result<ImpactReport, Error> {
+                    let mut report = answer.impact(spec)?;
+                    let total = match baseline {
+                        Some(total) => total,
+                        None => *baseline.insert(spec.baseline(registered.current_state())?),
+                    };
+                    report.baseline = Some(total);
+                    Ok(report)
+                };
+                answers
+                    .iter()
+                    .zip(&specs)
+                    .map(|(answer, s)| {
+                        report_for(answer)
+                            .map(Some)
+                            .map_err(|e| req.context(e, Phase::Impact, s))
+                    })
+                    .collect::<Result<Vec<_>, Error>>()?
+            }
         };
 
         // Count the work only once it actually succeeded, so `stats()`

@@ -1,15 +1,15 @@
 //! Database deltas: the symmetric difference `Δ(D, D')` with `+`/`−`
 //! annotations (Section 3).
 //!
-//! A relation delta is a sort-merge with set semantics: both sides are
+//! A relation delta is a sort-merge with bag semantics: both sides are
 //! sorted by [`Tuple::total_cmp`] and walked once
-//! ([`mahif_storage::one_sided_tuples`]); a run of tuples equal on both
-//! sides emits nothing, and a tuple on one side only emits one `−` or `+`,
-//! however often it repeats. The output is therefore already in delta
-//! order (tuple, then `−` before `+`). Relations are bags, so under
-//! duplicate tuples this set delta disagrees with data slicing (ROADMAP
-//! item 2); a bag delta would count the lengths of the two equal runs and
-//! emit their difference instead of skipping them.
+//! ([`mahif_storage::one_sided_tuples`]). A tuple with `l` copies in the
+//! original and `r` in the modified state appears `l − r` times as `−` or
+//! `r − l` times as `+`, so equal multiplicities cancel. Counting copies
+//! is what makes data slicing exact under duplicate tuples (a tuple
+//! outside the slice occurs equally often on both sides) and what makes a
+//! `SUM` over the delta equal the difference of the two states' `SUM`s.
+//! The output is already in delta order (tuple, then `−` before `+`).
 //!
 //! Per-relation deltas are stored behind [`Arc`] so that a batch of
 //! what-if scenarios whose answers coincide (the common case in a
@@ -74,8 +74,9 @@ fn sorted(relation: &Relation) -> Vec<&Tuple> {
 }
 
 impl RelationDelta {
-    /// Computes `Δ(left, right)` for a single relation:
-    /// `{+t | t ∉ left ∧ t ∈ right} ∪ {−t | t ∈ left ∧ t ∉ right}`.
+    /// Computes `Δ(left, right)` for a single relation, counting copies:
+    /// `t` appears `max(0, #right(t) − #left(t))` times as `+t` and
+    /// `max(0, #left(t) − #right(t))` times as `−t`.
     pub fn compute(relation: &str, left: &Relation, right: &Relation) -> RelationDelta {
         Self::merge(relation, left.schema.clone(), &sorted(left), &sorted(right))
     }

@@ -10,10 +10,10 @@ use crate::schema_infer::infer_schema;
 
 /// Evaluates `query` over `db` and returns the result relation.
 ///
-/// Scans, selections, projections, unions and joins use bag semantics;
-/// [`Query::Difference`] uses set semantics (distinct tuples of the left
-/// input that do not appear in the right input) which is what the delta
-/// queries of Section 4/5.2 require.
+/// Every operator uses bag semantics: [`Query::Difference`] keeps each
+/// left tuple as many times as its multiplicity on the left exceeds its
+/// multiplicity on the right, the same count the delta of Section 3
+/// takes.
 pub fn evaluate(query: &Query, db: &Database) -> Result<Relation, QueryError> {
     let catalog = Catalog::from_database(db);
     evaluate_with_catalog(query, db, &catalog)
@@ -232,14 +232,21 @@ mod tests {
     }
 
     #[test]
-    fn difference_is_set_difference() {
+    fn difference_is_bag_difference() {
         let db = order_db();
         let cheap = Query::select(lt(attr("Price"), lit(50)), Query::scan("Order"));
-        let q = Query::difference(Query::scan("Order"), cheap);
+        let q = Query::difference(Query::scan("Order"), cheap.clone());
         let r = evaluate(&q, &db).unwrap();
         assert_eq!(r.len(), 2);
         let q2 = Query::difference(Query::scan("Order"), Query::scan("Order"));
         assert!(evaluate(&q2, &db).unwrap().is_empty());
+        // Copies count: two copies of the table minus one leaves one.
+        let doubled = Query::union(Query::scan("Order"), Query::scan("Order"));
+        let q3 = Query::difference(doubled, Query::scan("Order"));
+        assert_eq!(evaluate(&q3, &db).unwrap().len(), 4);
+        let doubled_cheap = Query::union(cheap.clone(), cheap);
+        let q4 = Query::difference(doubled_cheap, Query::scan("Order"));
+        assert_eq!(evaluate(&q4, &db).unwrap().len(), 2);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //!
 //! Reenactment (Definition 3 of the paper) turns a transactional history into
 //! a query built from projections over conditional expressions, selections,
-//! and unions; computing the answer of a historical what-if query adds set
+//! and unions; computing the answer of a historical what-if query adds bag
 //! difference ("delta queries", Section 4/5.2); inserts with queries
 //! (`INSERT ... SELECT`) additionally need joins. This crate provides exactly
 //! that algebra:

@@ -734,8 +734,10 @@ impl<R: Read> PullParser<R> {
 
 impl Json {
     /// Appends the compact, deterministic encoding (no whitespace,
-    /// insertion order) to `out` — the one serializer behind
-    /// [`Display`](fmt::Display) and the server's response bodies.
+    /// insertion order) to `out` — the serializer behind
+    /// [`Display`](fmt::Display) and every response body except a batch
+    /// answer's, which [`crate::wire::write_response_body`] writes through
+    /// the same escape and integer primitives.
     pub fn write_into(&self, out: &mut String) {
         match self {
             Json::Null => out.push_str("null"),
@@ -779,7 +781,7 @@ impl Json {
 
 /// Appends the decimal digits of `i`, through a digit buffer rather than
 /// the formatting machinery.
-fn write_int(out: &mut String, i: i64) {
+pub(crate) fn write_int(out: &mut String, i: i64) {
     let mut buf = [0u8; 20];
     let mut pos = buf.len();
     let mut n = i.unsigned_abs();
@@ -805,7 +807,7 @@ fn needs_escape(b: u8) -> bool {
 /// Appends `s` as a JSON string literal (quotes included). Runs of bytes
 /// that need no escape are copied whole; every byte that does is ASCII, so
 /// the runs always split `s` at character boundaries.
-fn write_escaped(out: &mut String, s: &str) {
+pub(crate) fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
     let mut run = 0;
     for (i, b) in s.bytes().enumerate() {

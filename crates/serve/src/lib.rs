@@ -53,6 +53,6 @@ pub use json::{Json, JsonError, PullParser};
 pub use server::{ServeConfig, Server, ServerHandle};
 pub use wire::{
     decode_batch, decode_register, decode_register_stream, encode_delta, encode_error,
-    encode_response, encode_session_stats, status_for, BatchRequest, ConnectionsSnapshot,
-    RegisterRequest, WireError,
+    encode_response, encode_session_stats, status_for, write_response_body, BatchRequest,
+    ConnectionsSnapshot, RegisterRequest, WireError,
 };

@@ -63,7 +63,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use mahif::{Budget, Session};
+use mahif::{Budget, Response, Session};
 use mahif_net::Waker;
 use mahif_obs::{Counter, Gauge, Registry, SlowEntry, SlowLog, Trace};
 
@@ -444,11 +444,13 @@ impl ServerHandle {
 }
 
 /// A response body plus its representation: the routes speak JSON except
-/// `/metrics`, which is Prometheus text.
+/// `/metrics`, which is Prometheus text. A batch answer stays a
+/// `Response` until the `encode` span writes it.
 #[derive(Debug)]
 enum Payload {
     Json(Json),
     Text(String),
+    Batch(Box<Response>),
 }
 
 /// What a route decided: status, body, optional `Retry-After` hint.
@@ -464,6 +466,14 @@ impl Reply {
         Reply {
             status,
             payload: Payload::Json(body),
+            retry_after: None,
+        }
+    }
+
+    fn batch(response: Response) -> Reply {
+        Reply {
+            status: 200,
+            payload: Payload::Batch(Box::new(response)),
             retry_after: None,
         }
     }
@@ -603,6 +613,11 @@ fn render_response(
             body
         }
         Payload::Text(text) => text,
+        Payload::Batch(response) => {
+            let mut body = String::new();
+            wire::write_response_body(&response, &mut body);
+            body
+        }
     });
     let mut extra: Vec<(&str, String)> = Vec::new();
     if matches!(status, 200) && ctx.route == "metrics" {
@@ -988,7 +1003,7 @@ fn route(head: &RequestHead, body: &str, shared: &Shared, ctx: &mut RequestCtx) 
                             ctx.scenarios = response.stats.scenarios;
                             ctx.groups = response.stats.slice_groups;
                             ctx.solver_calls = response.stats.solver_calls as u64;
-                            Reply::json(200, wire::encode_response(&response))
+                            Reply::batch(response)
                         }
                     }
                 }

@@ -7,6 +7,10 @@
 //! `FromStr`/`Display` round-trip; an unknown label is a 400 whose message
 //! names the accepted set.
 //!
+//! Encoders build [`Json`] trees, except on the served batch path:
+//! [`write_response_body`] writes a batch answer's bytes straight from the
+//! `Response`, and [`encode_response`] stays as the tree it must match.
+//!
 //! Everything here is deterministic: objects encode in fixed field order,
 //! so two encodings of equal answers are byte-identical — the property the
 //! smoke tests use to compare a served batch against a local
@@ -19,11 +23,11 @@ use mahif::{
     ScenarioSpec, SessionStats,
 };
 use mahif_expr::{DataType, Value};
-use mahif_history::{Annotation, DatabaseDelta, History, Statement};
+use mahif_history::{Annotation, DatabaseDelta, DeltaTuple, History, Statement};
 use mahif_storage::{Attribute, Database, Relation, Schema, Tuple};
 
 use crate::admission::AdmissionSnapshot;
-use crate::json::Json;
+use crate::json::{write_escaped, write_int, Json};
 
 /// A request the wire layer rejected before it reached the session: the
 /// HTTP status to answer and the message to carry.
@@ -569,6 +573,10 @@ fn encode_batch_stats(stats: &BatchStats) -> Json {
 /// Encodes a full batch answer. The `scenarios` array — name, delta,
 /// optional impact — is deterministic and timing-free, so two equal
 /// answers encode byte-identically; `stats` carries the wall-clock fields.
+///
+/// This tree is the reference encoding: the server writes the same bytes
+/// with [`write_response_body`], and tests and oracles compare against
+/// this.
 pub fn encode_response(response: &Response) -> Json {
     let scenarios = response
         .scenarios
@@ -590,6 +598,87 @@ pub fn encode_response(response: &Response) -> Json {
         ("scenarios", Json::Arr(scenarios)),
         ("stats", encode_batch_stats(&response.stats)),
     ])
+}
+
+/// Appends the body of a 200 batch answer to `out`: the bytes of
+/// `encode_response(response).to_string()`, written straight from the
+/// response through the same escape and integer primitives, with no
+/// [`Json`] tree in between. A large answer is millions of values; a tree
+/// holds one `Vec` per tuple and one `String` per string value, and
+/// building and dropping it cost more than writing it. Only the small
+/// `impact` and `stats` objects go through their tree encoders.
+pub fn write_response_body(response: &Response, out: &mut String) {
+    out.push_str("{\"history\":");
+    write_escaped(out, &response.history);
+    out.push_str(",\"method\":");
+    write_escaped(out, response.method.label());
+    out.push_str(",\"scenarios\":[");
+    for (i, s) in response.scenarios.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push_str("{\"name\":");
+        write_escaped(out, &s.name);
+        out.push_str(",\"delta\":");
+        write_delta(&s.answer.delta, out);
+        if let Some(report) = &s.impact {
+            out.push_str(",\"impact\":");
+            encode_impact(report).write_into(out);
+        }
+        out.push('}');
+    }
+    out.push_str("],\"stats\":");
+    encode_batch_stats(&response.stats).write_into(out);
+    out.push('}');
+}
+
+/// [`encode_delta`]'s bytes, written from the delta's tuples.
+fn write_delta(delta: &DatabaseDelta, out: &mut String) {
+    out.push_str("{\"relations\":[");
+    for (i, r) in delta.relations.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push_str("{\"relation\":");
+        write_escaped(out, &r.relation);
+        out.push_str(",\"inserted\":");
+        write_tuples(&r.tuples, Annotation::Plus, out);
+        out.push_str(",\"deleted\":");
+        write_tuples(&r.tuples, Annotation::Minus, out);
+        out.push('}');
+    }
+    out.push_str("],\"tuples\":");
+    write_int(out, delta.len() as i64);
+    out.push('}');
+}
+
+/// The tuples annotated `annotation`, in delta order, as an array of value
+/// arrays.
+fn write_tuples(tuples: &[DeltaTuple], annotation: Annotation, out: &mut String) {
+    out.push('[');
+    for (i, t) in tuples
+        .iter()
+        .filter(|t| t.annotation == annotation)
+        .enumerate()
+    {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push('[');
+        for (j, v) in t.tuple.values.iter().enumerate() {
+            if j > 0 {
+                out.push(',');
+            }
+            match v {
+                Value::Int(n) => write_int(out, *n),
+                Value::Str(s) => write_escaped(out, s),
+                Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+                Value::Null => out.push_str("null"),
+            }
+        }
+        out.push(']');
+    }
+    out.push(']');
 }
 
 /// The reactor's connection-state mirror served under `"connections"` in

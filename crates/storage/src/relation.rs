@@ -3,13 +3,12 @@
 //! The paper's formalization uses set semantics for reenactment
 //! (Definition 3) and phrases the statements (Equations 1–4) and the
 //! delta over sets of tuples. We store relations as bags (the order of
-//! tuples is an implementation detail). Two bags are compared with set
+//! tuples is an implementation detail). Two bags are compared with bag
 //! semantics by [`one_sided_tuples`]: both sides sorted by
-//! [`Tuple::total_cmp`], then walked once, reporting each distinct tuple
-//! that occurs on one side only. The delta in `mahif-history` and the
-//! query evaluator's difference are both built on it. A bag delta
-//! (ROADMAP item 2) would count the lengths of equal runs on both sides
-//! instead of skipping them.
+//! [`Tuple::total_cmp`], then walked once, counting the lengths of the two
+//! runs of each tuple and reporting the copies by which one side exceeds
+//! the other. The delta in `mahif-history` and the query evaluator's
+//! difference are both built on it.
 
 use std::borrow::Borrow;
 use std::cmp::Ordering;
@@ -202,12 +201,13 @@ pub enum Side {
 }
 
 /// Walks two bags sorted by [`Tuple::total_cmp`] once and calls `emit`
-/// for each distinct tuple that occurs on one side only, in ascending
-/// tuple order: set semantics, so a run of equal tuples counts once, and
-/// a tuple present on both sides is never emitted. `total_cmp` reports
-/// `Equal` exactly when `==` holds (NULL equals NULL; values of different
-/// types never compare equal), so this is the set difference taken both
-/// ways.
+/// once per copy by which a tuple's multiplicity on one side exceeds its
+/// multiplicity on the other, in ascending tuple order: bag semantics, so
+/// a tuple with `l` copies on the left and `r` on the right is emitted
+/// `l − r` times as [`Side::Left`] or `r − l` times as [`Side::Right`],
+/// and never when `l = r`. `total_cmp` reports `Equal` exactly when `==`
+/// holds (NULL equals NULL; values of different types never compare
+/// equal), so this is the bag difference taken both ways.
 pub fn one_sided_tuples<'a, L, R>(
     left: &'a [L],
     right: &'a [R],
@@ -218,31 +218,44 @@ pub fn one_sided_tuples<'a, L, R>(
 {
     debug_assert!(left.is_sorted_by(|a, b| a.borrow().total_cmp(b.borrow()).is_le()));
     debug_assert!(right.is_sorted_by(|a, b| a.borrow().total_cmp(b.borrow()).is_le()));
+    let mut emit_run = |side, t, copies| {
+        for _ in 0..copies {
+            emit(side, t);
+        }
+    };
     let (mut i, mut j) = (0, 0);
     while i < left.len() && j < right.len() {
         let (l, r) = (left[i].borrow(), right[j].borrow());
         match l.total_cmp(r) {
             Ordering::Less => {
-                emit(Side::Left, l);
-                i = run_end(left, i);
+                let end = run_end(left, i);
+                emit_run(Side::Left, l, end - i);
+                i = end;
             }
             Ordering::Greater => {
-                emit(Side::Right, r);
-                j = run_end(right, j);
+                let end = run_end(right, j);
+                emit_run(Side::Right, r, end - j);
+                j = end;
             }
             Ordering::Equal => {
-                i = run_end(left, i);
-                j = run_end(right, j);
+                let (l_end, r_end) = (run_end(left, i), run_end(right, j));
+                let (l_copies, r_copies) = (l_end - i, r_end - j);
+                emit_run(Side::Left, l, l_copies.saturating_sub(r_copies));
+                emit_run(Side::Right, r, r_copies.saturating_sub(l_copies));
+                i = l_end;
+                j = r_end;
             }
         }
     }
     while i < left.len() {
-        emit(Side::Left, left[i].borrow());
-        i = run_end(left, i);
+        let end = run_end(left, i);
+        emit_run(Side::Left, left[i].borrow(), end - i);
+        i = end;
     }
     while j < right.len() {
-        emit(Side::Right, right[j].borrow());
-        j = run_end(right, j);
+        let end = run_end(right, j);
+        emit_run(Side::Right, right[j].borrow(), end - j);
+        j = end;
     }
 }
 
@@ -328,7 +341,7 @@ mod tests {
     }
 
     #[test]
-    fn one_sided_tuples_is_the_set_difference_both_ways() {
+    fn one_sided_tuples_is_the_bag_difference_both_ways() {
         let a = sample();
         let mut b = sample();
         b.tuples.remove(0);
@@ -336,14 +349,25 @@ mod tests {
         assert_eq!(one_sided(&a, &b), vec![(Side::Left, removed.clone())]);
         assert_eq!(one_sided(&b, &a), vec![(Side::Right, removed.clone())]);
         assert!(one_sided(&a, &a).is_empty());
-        // Set semantics: duplicates on either side count once, and a tuple
-        // on both sides is never reported, whatever its multiplicities.
+        // Bag semantics: each tuple is reported once per copy by which its
+        // multiplicity on one side exceeds the other's.
         let mut dup = a.clone();
         dup.tuples.extend(a.tuples.iter().cloned());
-        assert!(one_sided(&dup, &a).is_empty());
+        let mut surplus: Vec<(Side, Tuple)> =
+            a.tuples.iter().map(|t| (Side::Left, t.clone())).collect();
+        surplus.sort_by(|x, y| x.1.total_cmp(&y.1));
+        assert_eq!(one_sided(&dup, &a), surplus);
         let mut b_dup = b.clone();
         b_dup.tuples.extend(b.tuples.iter().cloned());
-        assert_eq!(one_sided(&dup, &b_dup), vec![(Side::Left, removed)]);
+        assert_eq!(
+            one_sided(&dup, &b_dup),
+            vec![(Side::Left, removed.clone()), (Side::Left, removed)]
+        );
+        // Equal multiplicities cancel, however large.
+        let mut triple = dup.clone();
+        triple.tuples.extend(a.tuples.iter().cloned());
+        assert!(one_sided(&triple, &triple).is_empty());
+        assert_eq!(one_sided(&triple, &dup), surplus);
     }
 
     #[test]

@@ -1,18 +1,26 @@
-//! Property-based equivalence of the sort-merge delta with the definition
-//! `Δ(L, R) = {−t | t ∈ L ∧ t ∉ R} ∪ {+t | t ∉ L ∧ t ∈ R}` (set semantics,
-//! ordered by tuple then `−` before `+`). The reference below computes each
-//! side's set difference with hash sets, the way the delta was computed
-//! before the merge. Random bags cover duplicates on either side, tuples on
-//! both sides, NULLs, a column that mixes `Int`, `Str` and `Bool` at
-//! runtime, empty sides and identical sides, through both
+//! Property-based equivalence of the sort-merge delta with the bag
+//! definition: a tuple with `l` copies in `L` and `r` in `R` appears
+//! `l − r` times as `−t` or `r − l` times as `+t` (ordered by tuple, then
+//! `−` before `+`). The reference below counts each side's copies in a
+//! hash map instead of merging. Random bags cover duplicates on either
+//! side, tuples on both sides, NULLs, a column that mixes `Int`, `Str` and
+//! `Bool` at runtime, empty sides and identical sides, through both
 //! `RelationDelta::compute` and `DatabaseDelta::compute`.
+//!
+//! The duplicate-tuple probe at the end commits the case where a set delta
+//! went wrong: every method must answer like N, and a `SUM` impact must
+//! equal the difference of the two states' sums.
 
-use std::collections::HashSet;
+use std::collections::HashMap;
 
 use proptest::prelude::*;
 
+use mahif::{ImpactSpec, Method, Session};
+use mahif_expr::builder::{attr, eq, lit};
 use mahif_expr::Value;
-use mahif_history::{Annotation, DatabaseDelta, DeltaTuple, RelationDelta};
+use mahif_history::{
+    Annotation, DatabaseDelta, DeltaTuple, History, RelationDelta, SetClause, Statement,
+};
 use mahif_storage::{Attribute, Database, Relation, Schema, SchemaRef, Tuple};
 
 fn schema(name: &str) -> SchemaRef {
@@ -26,23 +34,30 @@ fn schema(name: &str) -> SchemaRef {
     )
 }
 
-/// Distinct tuples of `left` that do not occur in `right`, in first
-/// occurrence order.
-fn set_difference<'a>(left: &'a Relation, right: &Relation) -> Vec<&'a Tuple> {
-    let other: HashSet<&Tuple> = right.tuples.iter().collect();
-    let mut seen = HashSet::new();
-    left.tuples
-        .iter()
-        .filter(|t| !other.contains(t) && seen.insert(*t))
+/// Each tuple of `left` as often as its multiplicity in `left` exceeds
+/// its multiplicity in `right`.
+fn bag_difference<'a>(left: &'a Relation, right: &Relation) -> Vec<&'a Tuple> {
+    let mut surplus: HashMap<&Tuple, i64> = HashMap::new();
+    for t in &left.tuples {
+        *surplus.entry(t).or_default() += 1;
+    }
+    for t in &right.tuples {
+        if let Some(n) = surplus.get_mut(t) {
+            *n -= 1;
+        }
+    }
+    surplus
+        .into_iter()
+        .flat_map(|(t, n)| std::iter::repeat_n(t, n.max(0) as usize))
         .collect()
 }
 
-/// The delta by definition: both set differences, then sorted.
+/// The delta by definition: both bag differences, then sorted.
 fn reference_delta(relation: &str, left: &Relation, right: &Relation) -> RelationDelta {
-    let minus = set_difference(left, right)
+    let minus = bag_difference(left, right)
         .into_iter()
         .map(|t| (Annotation::Minus, t));
-    let plus = set_difference(right, left)
+    let plus = bag_difference(right, left)
         .into_iter()
         .map(|t| (Annotation::Plus, t));
     let mut tuples: Vec<DeltaTuple> = minus
@@ -144,7 +159,7 @@ proptest! {
     /// The merge agrees with the definition on one relation, both ways,
     /// and on already sorted sides.
     #[test]
-    fn relation_delta_equals_the_set_difference_definition(
+    fn relation_delta_equals_the_bag_difference_definition(
         shape in arb_shape(),
         left in arb_bag(),
         extra in arb_bag(),
@@ -172,7 +187,7 @@ proptest! {
     /// relation names, a missing relation counting as empty and empty
     /// deltas dropped.
     #[test]
-    fn database_delta_equals_the_set_difference_definition(
+    fn database_delta_equals_the_bag_difference_definition(
         shape in arb_shape(),
         left in arb_bag(),
         extra in arb_bag(),
@@ -199,6 +214,78 @@ proptest! {
         prop_assert_eq!(
             DatabaseDelta::compute(&db_left, &db_right),
             DatabaseDelta::from_relations(expected)
+        );
+    }
+}
+
+/// `SUM(V)` over `relation`'s tuples (every `V` is a non-NULL integer).
+fn sum_v(relation: &Relation) -> i64 {
+    relation
+        .tuples
+        .iter()
+        .map(|t| t.values[1].as_int().expect("V is an integer"))
+        .sum()
+}
+
+fn set_v_where_v_is(v: i64) -> Statement {
+    Statement::update(
+        "R",
+        SetClause::new(vec![("V".to_string(), lit(5))]),
+        eq(attr("V"), lit(v)),
+    )
+}
+
+/// `R(G, V) = {(1,5), (1,6)}`, history `UPDATE R SET V = 5 WHERE V = 6`,
+/// and the what-if replaces its condition with `V = 7`. `H(D)` holds two
+/// copies of `(1,5)` and `H[M](D)` one, so the answer is
+/// `{−(1,5), +(1,6)}`: a set delta drops the `−`, and data slicing, which
+/// keeps one copy of `(1,5)` on each side, disagreed with it.
+#[test]
+fn duplicate_tuple_probe_agrees_with_n_under_every_method() {
+    let schema = Schema::shared("R", vec![Attribute::int("G"), Attribute::int("V")]);
+    let rows = [[1, 5], [1, 6]].map(|row| Tuple::new(row.map(Value::Int).to_vec()));
+    let mut initial = Database::new();
+    initial.put_relation(Relation::new(schema.clone(), rows.to_vec()).expect("arity 2"));
+    let history = History::new(vec![set_v_where_v_is(6)]);
+    let modified = History::new(vec![set_v_where_v_is(7)]);
+    let actual = history.execute(&initial).expect("history runs");
+    let hypothetical = modified.execute(&initial).expect("what-if history runs");
+    let session = Session::with_history("dup", initial, history).expect("registers");
+
+    let spec = ImpactSpec::sum_of("R", "V");
+    let expected = DatabaseDelta::from_relations(vec![RelationDelta {
+        relation: "R".to_string(),
+        schema,
+        tuples: vec![
+            DeltaTuple {
+                annotation: Annotation::Minus,
+                tuple: rows[0].clone(),
+            },
+            DeltaTuple {
+                annotation: Annotation::Plus,
+                tuple: rows[1].clone(),
+            },
+        ],
+    }]);
+    let sum = |db: &Database| sum_v(db.relation("R").expect("R exists"));
+    let true_change = sum(&hypothetical) - sum(&actual);
+    assert_eq!((sum(&actual), sum(&hypothetical), true_change), (10, 11, 1));
+    for method in Method::all() {
+        let response = session
+            .on("dup")
+            .replace(0, set_v_where_v_is(7))
+            .method(method)
+            .impact(spec.clone())
+            .run()
+            .unwrap_or_else(|e| panic!("{method}: {e}"));
+        assert_eq!(response.delta(), &expected, "{method}");
+        let report = response.impact().expect("impact requested");
+        assert_eq!(report.net_change(), true_change, "{method}");
+        assert_eq!(report.baseline, Some(sum(&actual)), "{method}");
+        assert_eq!(
+            report.hypothetical_total(),
+            Some(sum(&hypothetical)),
+            "{method}"
         );
     }
 }

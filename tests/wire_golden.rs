@@ -3,11 +3,18 @@
 //! serializer that alters any byte — integer digits, escapes, key order,
 //! separators — fails here even when server and client would agree with
 //! each other. A random-tree round trip checks that what the writer emits
-//! is what the parser reads back.
+//! is what the parser reads back, and random responses check that the
+//! served batch writer emits exactly the reference tree's bytes.
+
+use std::sync::OnceLock;
+use std::time::Duration;
 
 use proptest::prelude::*;
 
-use mahif::{ImpactSpec, Method, Session};
+use mahif::{
+    BatchStats, EngineStats, GroupImpact, ImpactReport, ImpactSpec, Method, PhaseTimings, Response,
+    ScenarioResponse, Session, WhatIfAnswer,
+};
 use mahif_expr::{DataType, Value};
 use mahif_history::statement::{
     running_example_database, running_example_history, running_example_u1_prime,
@@ -15,7 +22,7 @@ use mahif_history::statement::{
 use mahif_history::{
     Annotation, DatabaseDelta, DeltaTuple, History, ModificationSet, RelationDelta,
 };
-use mahif_serve::{encode_delta, encode_response, Json};
+use mahif_serve::{encode_delta, encode_response, write_response_body, Json};
 use mahif_storage::{Attribute, Schema, Tuple};
 
 fn annotated(annotation: Annotation, values: Vec<Value>) -> DeltaTuple {
@@ -128,6 +135,11 @@ fn response_encoding_matches_golden_bytes() {
         r#""minus_total":5,"rows_added":1,"rows_removed":1,"net_change":5}}]}"#,
     );
     assert_eq!(deterministic.to_string(), expected);
+    // The served writer: the same bytes up to the `stats` tail.
+    let mut served = String::new();
+    write_response_body(&response, &mut served);
+    let stats_at = served.rfind(",\"stats\":").expect("stats close the body");
+    assert_eq!(format!("{}}}", &served[..stats_at]), expected);
 }
 
 /// A string drawn from characters that need escaping, multi-byte ones and
@@ -161,6 +173,135 @@ fn arb_json() -> impl Strategy<Value = Json> {
     })
 }
 
+fn arb_value() -> impl Strategy<Value = Value> {
+    prop_oneof![
+        Just(Value::Null),
+        Just(Value::Bool(true)),
+        Just(Value::Bool(false)),
+        Just(Value::Int(i64::MIN)),
+        Just(Value::Int(i64::MAX)),
+        (-1_000_000i64..1_000_000).prop_map(Value::Int),
+        arb_string().prop_map(Value::str),
+    ]
+}
+
+fn arb_relation_delta() -> impl Strategy<Value = RelationDelta> {
+    let tuple = (0u8..2, prop::collection::vec(arb_value(), 1..5)).prop_map(|(plus, values)| {
+        let annotation = if plus == 1 {
+            Annotation::Plus
+        } else {
+            Annotation::Minus
+        };
+        annotated(annotation, values)
+    });
+    (arb_string(), prop::collection::vec(tuple, 0..6)).prop_map(|(relation, tuples)| {
+        RelationDelta {
+            schema: Schema::shared(relation.clone(), vec![Attribute::int("K")]),
+            relation,
+            tuples,
+        }
+    })
+}
+
+fn arb_impact() -> impl Strategy<Value = Option<ImpactReport>> {
+    let report = (
+        arb_string(),
+        arb_string(),
+        prop_oneof![Just(None), (-1000i64..1000).prop_map(Some)],
+        (i64::MIN / 4..i64::MAX / 4, -1000i64..1000),
+        (0usize..1000, 0usize..1000),
+    )
+        .prop_map(
+            |(relation, metric_name, baseline, (plus_total, minus_total), (added, removed))| {
+                ImpactReport {
+                    relation,
+                    metric_name,
+                    overall: GroupImpact {
+                        key: Vec::new(),
+                        plus_total,
+                        minus_total,
+                        rows_added: added,
+                        rows_removed: removed,
+                    },
+                    groups: Vec::new(),
+                    baseline,
+                }
+            },
+        );
+    prop_oneof![Just(None), report.prop_map(Some)]
+}
+
+fn arb_scenario() -> impl Strategy<Value = ScenarioResponse> {
+    (
+        arb_string(),
+        prop::collection::vec(arb_relation_delta(), 0..4),
+        arb_impact(),
+    )
+        .prop_map(|(name, relations, impact)| ScenarioResponse {
+            name,
+            answer: WhatIfAnswer {
+                delta: DatabaseDelta::from_relations(relations),
+                timings: PhaseTimings::default(),
+                stats: EngineStats::default(),
+            },
+            impact,
+        })
+}
+
+/// A response to overwrite field by field (`Response` is built by the
+/// session only).
+fn template() -> &'static Response {
+    static TEMPLATE: OnceLock<Response> = OnceLock::new();
+    TEMPLATE.get_or_init(|| {
+        Session::with_history(
+            "retail",
+            running_example_database(),
+            History::new(running_example_history()),
+        )
+        .unwrap()
+        .on("retail")
+        .modifications(ModificationSet::single_replace(
+            0,
+            running_example_u1_prime(),
+        ))
+        .run()
+        .unwrap()
+    })
+}
+
+fn arb_response() -> impl Strategy<Value = Response> {
+    let stats = (
+        0usize..64,
+        0u64..5_000_000,
+        prop::collection::vec((arb_string(), 0u64..5_000_000), 0..3),
+    )
+        .prop_map(|(count, micros, relations)| BatchStats {
+            scenarios: count,
+            solver_calls: count * 3,
+            total: Duration::from_micros(micros),
+            execution: Duration::from_nanos(micros * 7 + 1),
+            plan_relations: relations
+                .into_iter()
+                .map(|(name, micros)| (name, Duration::from_micros(micros)))
+                .collect(),
+            ..BatchStats::default()
+        });
+    (
+        arb_string(),
+        0usize..5,
+        prop::collection::vec(arb_scenario(), 0..4),
+        stats,
+    )
+        .prop_map(|(history, method, scenarios, stats)| {
+            let mut response = template().clone();
+            response.history = history;
+            response.method = Method::all()[method];
+            response.scenarios = scenarios;
+            response.stats = stats;
+            response
+        })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
@@ -170,5 +311,17 @@ proptest! {
         let mut written = String::new();
         tree.write_into(&mut written);
         prop_assert_eq!(Json::parse(&written).unwrap(), tree);
+    }
+
+    /// The served batch writer emits the reference tree's bytes: several
+    /// relations, empty `inserted` / `deleted` arrays, escaped strings,
+    /// NULLs, booleans, extreme integers, and scenarios with and without
+    /// an impact report. The `stats` tail is compared too, because both
+    /// encode the same durations.
+    #[test]
+    fn served_writer_matches_the_reference_tree(response in arb_response()) {
+        let mut served = String::new();
+        write_response_body(&response, &mut served);
+        prop_assert_eq!(served, encode_response(&response).to_string());
     }
 }

@@ -128,7 +128,11 @@ impl RegisteredHistory {
         self.versioned.initial()
     }
 
-    /// The current database state `H(D)`.
+    /// The current database state `H(D)`, computed once at registration
+    /// on the columnar trunk (or by the row executor,
+    /// [`History::execute`], for histories the trunk declines). Either way
+    /// it equals the row executor's result tuple for tuple, in order and
+    /// under the same schemas.
     pub fn current_state(&self) -> &Database {
         self.versioned.current()
     }
@@ -199,6 +203,7 @@ impl Counters {
             columnar_batches: 0,
             vectorized_predicates: 0,
             row_fallbacks: 0,
+            register_row_fallbacks: 0,
             analyzer_rejections: 0,
             analyzer_noop_proofs: 0,
         }
@@ -271,6 +276,12 @@ pub struct SessionStats {
     /// back to the row evaluator (inexpressible statement or predicate,
     /// mixed-type column, or a runtime fault the row path must reproduce).
     pub row_fallbacks: u64,
+    /// Registrations whose `H(D)` the columnar trunk declined (an insert,
+    /// an unknown relation, a relation or statement it cannot encode or
+    /// compile, or a runtime fault), so the row executor
+    /// [`History::execute`] ran instead — counted whether or not that
+    /// execution then succeeded. Reads the same atomic cell as `/metrics`.
+    pub register_row_fallbacks: u64,
     /// Requests rejected at admission by the static analyzer (unknown
     /// relation/attribute, type-mismatched predicate, malformed parameter
     /// substitution). Rejected requests never reach the success-path
@@ -332,6 +343,9 @@ pub struct SessionMetrics {
     /// Columnar attempts that fell back to the row evaluator, mirrored
     /// into [`SessionStats::row_fallbacks`].
     pub row_fallbacks: Arc<mahif_obs::Counter>,
+    /// Registrations whose `H(D)` came from the row executor, mirrored
+    /// into [`SessionStats::register_row_fallbacks`].
+    pub register_row_fallbacks: Arc<mahif_obs::Counter>,
     /// Requests rejected at admission by the static analyzer, mirrored
     /// into [`SessionStats::analyzer_rejections`].
     pub analyzer_rejections: Arc<mahif_obs::Counter>,
@@ -357,6 +371,7 @@ impl Default for SessionMetrics {
             columnar_batches: Arc::new(mahif_obs::Counter::new()),
             vectorized_predicates: Arc::new(mahif_obs::Counter::new()),
             row_fallbacks: Arc::new(mahif_obs::Counter::new()),
+            register_row_fallbacks: Arc::new(mahif_obs::Counter::new()),
             analyzer_rejections: Arc::new(mahif_obs::Counter::new()),
             analyzer_noop_proofs: Arc::new(mahif_obs::Counter::new()),
         }
@@ -439,6 +454,11 @@ impl SessionMetrics {
             Arc::clone(&self.row_fallbacks),
         );
         registry.adopt_counter(
+            "mahif_register_row_fallbacks_total",
+            "Registrations whose H(D) the columnar trunk declined to the row executor",
+            Arc::clone(&self.register_row_fallbacks),
+        );
+        registry.adopt_counter(
             "mahif_analyzer_rejections_total",
             "Requests rejected at admission by the static analyzer",
             Arc::clone(&self.analyzer_rejections),
@@ -507,6 +527,9 @@ impl Clone for Session {
             .vectorized_predicates
             .add(self.metrics.vectorized_predicates.get());
         metrics.row_fallbacks.add(self.metrics.row_fallbacks.get());
+        metrics
+            .register_row_fallbacks
+            .add(self.metrics.register_row_fallbacks.get());
         metrics
             .analyzer_rejections
             .add(self.metrics.analyzer_rejections.get());
@@ -640,6 +663,12 @@ impl Session {
     /// Registers a database and the transactional history that was executed
     /// over it under `name`. The history is executed once to materialize
     /// the two states `D` and `H(D)`; every later request borrows them.
+    /// `H(D)` is computed on the columnar trunk
+    /// ([`mahif_reenact::execute_history`]); a history the trunk declines
+    /// (inserts, an unknown relation, a shape it cannot compile, a runtime
+    /// fault) runs through the row executor [`History::execute`] instead,
+    /// whose result or error is authoritative, and counts as a
+    /// [`SessionStats::register_row_fallbacks`].
     /// Takes `&self`: registration is a concurrent service operation, safe
     /// from any thread sharing the session.
     pub fn register(
@@ -672,11 +701,17 @@ impl Session {
         // The authoritative duplicate check runs again under the write
         // lock, so two racing registrations of one name still resolve to
         // exactly one winner.
-        let current = history.execute(&initial).map_err(|e| {
-            Error::from(e)
-                .in_phase(Phase::Register)
-                .on_history(name.clone())
-        })?;
+        let current = match mahif_reenact::execute_history(&history, &initial) {
+            Some(current) => current,
+            None => {
+                self.metrics.register_row_fallbacks.inc();
+                history.execute(&initial).map_err(|e| {
+                    Error::from(e)
+                        .in_phase(Phase::Register)
+                        .on_history(name.clone())
+                })?
+            }
+        };
         // Provision the history while still outside the lock: the
         // generation is globally monotonic (never reused even across racing
         // registrations), and the dependency summaries and static analysis
@@ -780,6 +815,7 @@ impl Session {
         stats.columnar_batches = self.metrics.columnar_batches.get();
         stats.vectorized_predicates = self.metrics.vectorized_predicates.get();
         stats.row_fallbacks = self.metrics.row_fallbacks.get();
+        stats.register_row_fallbacks = self.metrics.register_row_fallbacks.get();
         // And the analyzer counters: rejections happen on requests that
         // never reach the success-path commit, so both values live in the
         // metric cells.

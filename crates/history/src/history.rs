@@ -110,7 +110,10 @@ impl History {
 
     /// Executes the history over a copy of `db`, returning the final state
     /// `H(D)`: one copy of the database, with every statement applied in
-    /// place.
+    /// place. This is the row executor: the naive method (N) answers with
+    /// it, and registration falls back to it for the histories the columnar
+    /// trunk declines (`mahif_reenact::execute_history`), so its result or
+    /// error is the reference both are held to.
     pub fn execute(&self, db: &Database) -> Result<Database, HistoryError> {
         let mut current = db.clone();
         for s in &self.statements {

@@ -16,6 +16,10 @@
 //!   and each (tiny) insert branch is evaluated by the row engine and
 //!   appended with the same `union_all` the row path uses.
 //!
+//! [`execute_history`] runs the same UPDATE/DELETE chain over a whole
+//! database with *direct-execution* semantics (a DELETE whose condition is
+//! NULL keeps the row) to compute `H(D)` at registration.
+//!
 //! Anything inexpressible — `INSERT ... SELECT`, predicates that fail
 //! [`compile`] (symbolic variables, cross-type comparisons, …), mixed-type
 //! columns, or any runtime arithmetic fault — yields `None` and the caller
@@ -133,6 +137,26 @@ impl Batch {
         Some(())
     }
 
+    /// Drop the rows where `cond` is exactly TRUE: direct execution's
+    /// DELETE, under which a row whose condition is NULL survives.
+    fn remove_where(&mut self, cond: &Expr) -> Option<()> {
+        compile(cond, &self.schema, &mut self.pool)?;
+        let deleted = select_where(
+            cond,
+            true,
+            &self.schema,
+            &self.cols,
+            &mut self.pool,
+            &self.sel,
+            &mut self.predicates,
+        )
+        .ok()?;
+        // Both are ascending and `deleted ⊆ sel`: one merge pass.
+        let mut deleted = deleted.into_iter().peekable();
+        self.sel.retain(|p| deleted.next_if_eq(p).is_none());
+        Some(())
+    }
+
     /// Apply an UPDATE: recompute set attributes via compiled programs,
     /// gather (or pass through) the rest, and reset the selection to the
     /// identity over the now-dense columns.
@@ -223,6 +247,13 @@ fn reenact_trunk(
                 // σ_{¬θ}: keep rows where the condition is exactly FALSE
                 // (NULL deletes nothing, but NOT NULL is NULL — not kept
                 // either way by the row path's NULL-is-false filter).
+                // This is reenactment's semantics, not direct execution's:
+                // a row whose θ is NULL survives a direct DELETE but is
+                // dropped here (ROADMAP item 1). It is kept as is so this
+                // path stays byte-identical to the row reenactment;
+                // `execute_history` computes `H(D)` and must match direct
+                // execution instead, so it removes only the rows where θ
+                // is TRUE (`Batch::remove_where`).
                 batch.narrow(cond, false)?;
             }
             Statement::InsertValues { .. } | Statement::InsertQuery { .. } => {
@@ -282,6 +313,71 @@ pub fn reenact_side_columnar(
         }
     }
     Some(outcome)
+}
+
+/// Executes `history` over `db` on the columnar trunk: the final state
+/// `H(D)`, equal tuple for tuple, in order and under the same schemas, to
+/// [`History::execute`]'s. Each relation the history touches is encoded
+/// once, its UPDATE/DELETE statements run in history order, and the result
+/// is decoded under the relation's declared schema (direct execution never
+/// retypes a relation). Relations the history does not touch are copied.
+///
+/// Returns `None` — and the caller runs [`History::execute`], whose result
+/// or error is authoritative — for any INSERT, a statement on a relation
+/// `db` lacks, a relation without a typed columnar encoding, a statement
+/// that fails [`compile`], and any runtime fault.
+pub fn execute_history(history: &History, db: &Database) -> Option<Database> {
+    for stmt in history.statements() {
+        let inserts = matches!(
+            stmt,
+            Statement::InsertValues { .. } | Statement::InsertQuery { .. }
+        );
+        if inserts || !db.has_relation(stmt.relation()) {
+            return None;
+        }
+    }
+    let mut out = Database::new();
+    for (name, relation) in db.iter() {
+        let mut trunk = history
+            .statements()
+            .iter()
+            .filter(|s| s.relation() == name)
+            .peekable();
+        if trunk.peek().is_none() {
+            out.put_relation(relation.clone());
+            continue;
+        }
+        let base = relation.to_columnar()?;
+        if base.columns.is_empty() {
+            return None; // zero-arity relations stay on the row path
+        }
+        let mut batch = Batch::from_base(&base);
+        for stmt in trunk {
+            match stmt {
+                Statement::Update { set, cond, .. } => {
+                    // An update that assigns no attribute of the relation
+                    // would never evaluate θ here, while direct execution
+                    // evaluates it on every row (and may fault).
+                    if !batch.names.iter().any(|n| set.expr_for(n).is_some()) {
+                        return None;
+                    }
+                    if !cond.is_false() {
+                        batch.update(set, cond)?;
+                    }
+                }
+                Statement::Delete { cond, .. } => {
+                    if !cond.is_false() {
+                        batch.remove_where(cond)?;
+                    }
+                }
+                Statement::InsertValues { .. } | Statement::InsertQuery { .. } => {
+                    unreachable!("inserts were declined above")
+                }
+            }
+        }
+        out.put_relation(batch.into_relation(Arc::clone(&relation.schema)));
+    }
+    Some(out)
 }
 
 #[cfg(test)]
@@ -456,6 +552,55 @@ mod tests {
         let want = row_side(&history, relation, &schema, &Expr::true_(), &db);
         assert_eq!(got.relation, want);
         assert_eq!(got.relation.schema, want.schema);
+    }
+
+    #[test]
+    fn execute_history_matches_direct_execution() {
+        let mut stmts = mahif_history::statement::running_example_history();
+        stmts.push(Statement::delete("Order", gt(attr("Price"), lit(55))));
+        let history = History::new(stmts);
+        let db = base_db();
+        let got = execute_history(&history, &db).expect("updates and deletes run columnar");
+        assert_eq!(got, history.execute(&db).unwrap());
+        let declared = &db.relation("Order").unwrap().schema;
+        assert!(Arc::ptr_eq(
+            &got.relation("Order").unwrap().schema,
+            declared
+        ));
+    }
+
+    #[test]
+    fn execute_history_keeps_rows_whose_delete_condition_is_null() {
+        // Direct execution deletes where θ is TRUE; reenactment's σ_{¬θ}
+        // would also drop the NULL row.
+        let mut db = base_db();
+        let order = db.relation_mut("Order").unwrap();
+        order.tuples[0].values[3] = mahif_expr::Value::Null;
+        let history = History::new(vec![Statement::delete("Order", lt(attr("Price"), lit(40)))]);
+        let got = execute_history(&history, &db).unwrap();
+        assert_eq!(got, history.execute(&db).unwrap());
+        assert!(got.relation("Order").unwrap().tuples[0].values[3].is_null());
+    }
+
+    #[test]
+    fn execute_history_declines_what_it_cannot_express() {
+        let db = base_db();
+        let row = db.relation("Order").unwrap().tuples[0].clone();
+        let declined = [
+            Statement::insert_values("Order", row),
+            Statement::insert_query("Order", Query::scan("Order")),
+            Statement::update("Missing", SetClause::single("Price", lit(1)), Expr::true_()),
+            Statement::update("Order", SetClause::single("Country", lit(7)), Expr::true_()),
+            Statement::update("Order", SetClause::single("Nope", lit(7)), Expr::true_()),
+            Statement::delete("Order", eq(attr("Country"), var("c"))),
+        ];
+        for stmt in declined {
+            let label = stmt.label();
+            assert!(
+                execute_history(&History::new(vec![stmt]), &db).is_none(),
+                "{label}"
+            );
+        }
     }
 
     #[test]

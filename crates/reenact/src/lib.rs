@@ -29,7 +29,7 @@ pub mod columnar;
 pub mod split;
 
 pub use builder::{reenact_history, reenact_history_over, reenact_statement, reenactment_queries};
-pub use columnar::{has_insert_query, reenact_side_columnar, ColumnarOutcome};
+pub use columnar::{execute_history, has_insert_query, reenact_side_columnar, ColumnarOutcome};
 pub use split::{combine_split, split_reenactment, SplitReenactment};
 
 #[cfg(test)]

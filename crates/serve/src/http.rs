@@ -9,8 +9,10 @@
 //!   `BufRead` (the connection's reader), leaving the body unread — the
 //!   server decides per route whether to buffer it ([`read_body_string`]),
 //!   stream it (`reader.take(len)`), or discard it ([`drain_body`]).
-//! * [`write_response`] / [`write_continue`] write to the connection's
-//!   write half, with explicit [`ConnectionDirective`] headers
+//! * [`frame_response`] frames a response for the connection's write
+//!   queue, [`write_response`] writes one to a `Write`, and
+//!   [`write_continue`] writes the interim `100 Continue`, with explicit
+//!   [`ConnectionDirective`] headers
 //!   (`Connection: keep-alive` + `Keep-Alive: timeout=…, max=…`, or
 //!   `Connection: close`).
 //!
@@ -398,20 +400,33 @@ pub fn write_continue<W: Write>(writer: &mut W) -> io::Result<()> {
     writer.flush()
 }
 
-/// Writes a complete response and flushes. `extra` headers are written
-/// verbatim after the framing headers — `Retry-After` on a 429/503,
-/// `X-Request-Id`, `Server-Timing` — and an extra `Content-Type`
-/// *replaces* the `application/json` default (the `/metrics` exposition
-/// is `text/plain`); `directive` writes the connection-lifecycle headers.
-/// Header names and values must be header-safe (no CR/LF) — callers pass
-/// validated or server-generated values only.
-pub fn write_response<W: Write>(
-    writer: &mut W,
+/// A response framed for the connection's write queue: the head (status
+/// line and headers) and the body, written in that order. A small body
+/// rides at the end of `head` and `body` is empty (see [`frame_response`]).
+#[derive(Debug)]
+pub struct Framed {
+    /// Status line and headers, followed by a small body.
+    pub head: Vec<u8>,
+    /// A large body, handed over without a copy; empty for small ones.
+    pub body: Vec<u8>,
+}
+
+/// Small responses go out as ONE write: on a keep-alive socket two tiny
+/// segments interact with Nagle + delayed ACK (the second waits ~40 ms for
+/// the ACK of the first), which would swamp every cheap response. Large
+/// bodies already fill segments — copying megabytes behind the head would
+/// only double the transient memory — so they go out as their own buffer
+/// (TCP_NODELAY covers the tail segment).
+const COMBINE_CAP: usize = 8 * 1024;
+
+/// The status line and headers of a response with a `body_len`-byte body,
+/// through the blank line that ends them (see [`frame_response`]).
+fn response_head(
     status: u16,
-    body: &str,
+    body_len: usize,
     extra: &[(&str, String)],
     directive: ConnectionDirective,
-) -> io::Result<()> {
+) -> String {
     let content_type = extra
         .iter()
         .find(|(name, _)| name.eq_ignore_ascii_case("content-type"))
@@ -422,7 +437,7 @@ pub fn write_response<W: Write>(
         status,
         reason(status),
         content_type,
-        body.len()
+        body_len
     );
     match directive {
         ConnectionDirective::Close => head.push_str("Connection: close\r\n"),
@@ -441,13 +456,47 @@ pub fn write_response<W: Write>(
         head.push_str(&format!("{name}: {value}\r\n"));
     }
     head.push_str("\r\n");
-    // Small responses go out as ONE write: on a keep-alive socket two
-    // tiny segments interact with Nagle + delayed ACK (the second waits
-    // ~40 ms for the ACK of the first), which would swamp every cheap
-    // response. Large bodies already fill segments — copying megabytes
-    // into the head buffer would only double the transient memory — so
-    // they keep the separate write (TCP_NODELAY covers the tail segment).
-    const COMBINE_CAP: usize = 8 * 1024;
+    head
+}
+
+/// Frames a complete response. `extra` headers are written verbatim after
+/// the framing headers — `Retry-After` on a 429/503, `X-Request-Id`,
+/// `Server-Timing` — and an extra `Content-Type` *replaces* the
+/// `application/json` default (the `/metrics` exposition is
+/// `text/plain`); `directive` writes the connection-lifecycle headers.
+/// Header names and values must be header-safe (no CR/LF) — callers pass
+/// validated or server-generated values only.
+pub fn frame_response(
+    status: u16,
+    body: String,
+    extra: &[(&str, String)],
+    directive: ConnectionDirective,
+) -> Framed {
+    let mut head = response_head(status, body.len(), extra, directive);
+    if body.len() <= COMBINE_CAP {
+        head.push_str(&body);
+        Framed {
+            head: head.into_bytes(),
+            body: Vec::new(),
+        }
+    } else {
+        Framed {
+            head: head.into_bytes(),
+            body: body.into_bytes(),
+        }
+    }
+}
+
+/// Writes a complete response — the bytes [`frame_response`] frames — and
+/// flushes.
+pub fn write_response<W: Write>(
+    writer: &mut W,
+    status: u16,
+    body: &str,
+    extra: &[(&str, String)],
+    directive: ConnectionDirective,
+) -> io::Result<()> {
+    let mut head = response_head(status, body.len(), extra, directive);
     if body.len() <= COMBINE_CAP {
         head.push_str(body);
         writer.write_all(head.as_bytes())?;
@@ -656,6 +705,23 @@ mod tests {
         assert!(text.contains("Connection: keep-alive\r\n"), "{text}");
         assert!(text.contains("Keep-Alive: timeout=5, max=7\r\n"), "{text}");
         assert!(text.contains("Retry-After: 1\r\n"), "{text}");
+    }
+
+    #[test]
+    fn framing_matches_write_response_and_moves_large_bodies() {
+        for len in [2, 64 * 1024] {
+            let body = "x".repeat(len);
+            let ptr = body.as_ptr();
+            let mut written = Vec::new();
+            write_response(&mut written, 200, &body, &[], ConnectionDirective::Close).unwrap();
+            let framed = frame_response(200, body, &[], ConnectionDirective::Close);
+            assert_eq!(written, [framed.head.as_slice(), &framed.body].concat());
+            if len > 8 * 1024 {
+                assert_eq!(framed.body.as_ptr(), ptr, "moved, not copied");
+            } else {
+                assert!(framed.body.is_empty(), "a small body rides in the head");
+            }
+        }
     }
 
     #[test]

@@ -53,7 +53,9 @@ use std::time::{Duration, Instant};
 
 use mahif_net::{read_available, Events, Interest, Poller, TimerWheel, Waker, WriteQueue};
 
-use crate::http::{parse_head_buffered, write_continue, HttpError, RequestHead, MAX_HEAD_BYTES};
+use crate::http::{
+    parse_head_buffered, write_continue, Framed, HttpError, RequestHead, MAX_HEAD_BYTES,
+};
 use crate::server::{
     process_job, render_body_too_large, render_malformed, render_overloaded_close,
     render_worker_panic, Shared, DRAIN_CAP,
@@ -100,7 +102,7 @@ pub(crate) struct Job {
 pub(crate) struct Completion {
     token: usize,
     generation: u64,
-    bytes: Vec<u8>,
+    framed: Framed,
     close: bool,
 }
 
@@ -182,10 +184,18 @@ fn phase_state(phase: &Phase) -> usize {
 /// Ordered chunks in a connection's write queue.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Tag {
-    /// `100 Continue` — completing it changes nothing.
-    Interim,
-    /// The response; completing it settles the connection's fate.
+    /// A `100 Continue`, or a response's head queued ahead of its body —
+    /// completing it changes nothing.
+    Partial,
+    /// The response's end; completing it settles the connection's fate.
     Response { close: bool },
+}
+
+/// Queues a framed response: its head, then its body (empty when the body
+/// rode in the head), whose completion settles the connection.
+fn queue_response(wq: &mut WriteQueue<Tag>, framed: Framed, close: bool) {
+    wq.push(framed.head, Tag::Partial);
+    wq.push(framed.body, Tag::Response { close });
 }
 
 /// One connection's reactor-side state.
@@ -336,7 +346,7 @@ fn worker_loop(
         // `process_job`, *before* the completion is queued — so by the
         // time a client holds the response, `/metrics` and `/debug/slow`
         // already reflect it.
-        let (bytes, close) =
+        let (framed, close) =
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| process_job(job, shared)))
                 .unwrap_or_else(|_| (render_worker_panic(shared), true));
         completions
@@ -345,7 +355,7 @@ fn worker_loop(
             .push(Completion {
                 token,
                 generation,
-                bytes,
+                framed,
                 close,
             });
         waker.wake();
@@ -407,7 +417,9 @@ impl Reactor {
             // up — never blocks the reactor on a dead client.
             self.shared.metrics.connections_shed_total.inc();
             let _ = stream.set_nonblocking(true);
-            let _ = (&stream).write_all(&render_overloaded_close());
+            let framed = render_overloaded_close();
+            let _ = (&stream).write_all(&framed.head);
+            let _ = (&stream).write_all(&framed.body);
             return;
         }
         // Persistent connections carry many small request/response
@@ -672,7 +684,7 @@ impl Reactor {
         if head.expect_continue && head.content_length > 0 {
             let mut interim = Vec::new();
             let _ = write_continue(&mut interim);
-            conn.wq.push(interim, Tag::Interim);
+            conn.wq.push(interim, Tag::Partial);
         }
         let need = head_len + head.content_length;
         self.transition(
@@ -721,7 +733,7 @@ impl Reactor {
             .max_requests_per_connection
             .max(1)
             .saturating_sub(conn.served);
-        let bytes = render_body_too_large(
+        let framed = render_body_too_large(
             head,
             cap,
             keep,
@@ -741,7 +753,7 @@ impl Reactor {
             // parse past; the connection is closing anyway.
             conn.rbuf.clear();
         }
-        conn.wq.push(bytes, Tag::Response { close: !keep });
+        queue_response(&mut conn.wq, framed, !keep);
         self.transition(
             conn,
             Phase::Respond {
@@ -760,9 +772,9 @@ impl Reactor {
     /// under the io stall deadline, so a momentarily-full socket buffer
     /// delays the diagnostic instead of dropping it.
     fn reject_malformed(&mut self, token: usize, conn: &mut Conn, what: &str) -> Fate {
-        let bytes = render_malformed(what, &self.shared);
+        let framed = render_malformed(what, &self.shared);
         conn.rbuf.clear();
-        conn.wq.push(bytes, Tag::Response { close: true });
+        queue_response(&mut conn.wq, framed, true);
         self.transition(
             conn,
             Phase::Respond {
@@ -890,12 +902,7 @@ impl Reactor {
                 continue;
             }
             let token = completion.token;
-            conn.wq.push(
-                completion.bytes,
-                Tag::Response {
-                    close: completion.close,
-                },
-            );
+            queue_response(&mut conn.wq, completion.framed, completion.close);
             self.transition(
                 &mut conn,
                 Phase::Respond {

@@ -68,7 +68,7 @@ use mahif_net::Waker;
 use mahif_obs::{Counter, Gauge, Registry, SlowEntry, SlowLog, Trace};
 
 use crate::admission::AdmissionController;
-use crate::http::{write_response, ConnectionDirective, RequestHead};
+use crate::http::{frame_response, ConnectionDirective, Framed, RequestHead};
 use crate::json::Json;
 use crate::reactor::{self, Job};
 use crate::wire::{self, ConnectionsSnapshot};
@@ -550,7 +550,7 @@ fn route_label(head: &RequestHead) -> &'static str {
 /// workers never touch a socket. Registration bodies run through the same
 /// incremental pull decoder as before (bounding the decoded *tree*, not
 /// the wire bytes, which the reactor already capped per-route).
-pub(crate) fn process_job(job: Job, shared: &Shared) -> (Vec<u8>, bool) {
+pub(crate) fn process_job(job: Job, shared: &Shared) -> (Framed, bool) {
     let Job {
         bytes,
         head_len,
@@ -592,15 +592,17 @@ pub(crate) fn process_job(job: Job, shared: &Shared) -> (Vec<u8>, bool) {
 
 /// Renders the full response — status line, connection headers,
 /// `X-Request-Id`, a `Server-Timing` built from the request's spans —
-/// into a byte buffer for the reactor to write, and records the request
-/// in the metrics/access-log/slow-log sinks. Returns `(bytes, close)`.
+/// for the reactor to write, and records the request in the
+/// metrics/access-log/slow-log sinks. The body is encoded once and handed
+/// over as is: the head, which must precede it but depends on its length
+/// and timing, is a buffer of its own. Returns `(framed, close)`.
 fn render_response(
     reply: Reply,
     keep: bool,
     remaining: usize,
     shared: &Shared,
     ctx: &mut RequestCtx,
-) -> (Vec<u8>, bool) {
+) -> (Framed, bool) {
     let Reply {
         status,
         payload,
@@ -640,12 +642,12 @@ fn render_response(
     } else {
         ConnectionDirective::Close
     };
-    let mut out = Vec::with_capacity(body.len() + 256);
-    ctx.trace.time("write", || {
-        // Serialization into memory cannot fail; the socket write is the
-        // reactor's, under its own stall deadline.
-        let _ = write_response(&mut out, status, &body, &extra, directive);
-    });
+    let body_len = body.len();
+    // Framing cannot fail; the socket write is the reactor's, under its
+    // own stall deadline.
+    let framed = ctx
+        .trace
+        .time("write", || frame_response(status, body, &extra, directive));
     let total = ctx.trace.elapsed();
     shared.metrics.record_request(ctx.route, status);
     if let Some(queue) = ctx.queue {
@@ -659,7 +661,7 @@ fn render_response(
             ctx.trace.target(),
             ctx.trace.id(),
             status,
-            body.len(),
+            body_len,
             queue.as_micros(),
             total.saturating_sub(queue).as_micros(),
             total.as_micros(),
@@ -673,7 +675,7 @@ fn render_response(
         ctx.groups,
         ctx.solver_calls,
     ));
-    (out, !keep)
+    (framed, !keep)
 }
 
 /// Renders the reactor-side 413 for a declared body over its route's cap
@@ -687,7 +689,7 @@ pub(crate) fn render_body_too_large(
     shared: &Shared,
     started: Instant,
     parse: Duration,
-) -> Vec<u8> {
+) -> Framed {
     let mut ctx = RequestCtx::begin(head, started);
     ctx.trace.add_span("parse", Duration::ZERO, parse);
     let body = Json::obj([(
@@ -705,53 +707,34 @@ pub(crate) fn render_body_too_large(
 /// the pre-reactor path it carries no request id or timing headers (there
 /// is no request to speak of), only the `(route="malformed", 400)`
 /// metrics sample.
-pub(crate) fn render_malformed(what: &str, shared: &Shared) -> Vec<u8> {
+pub(crate) fn render_malformed(what: &str, shared: &Shared) -> Framed {
     shared.metrics.record_request("malformed", 400);
     let body = Json::obj([("error", Json::str(format!("malformed request: {what}")))]);
-    let mut out = Vec::new();
-    let _ = write_response(
-        &mut out,
-        400,
-        &body.to_string(),
-        &[],
-        ConnectionDirective::Close,
-    );
-    out
+    frame_response(400, body.to_string(), &[], ConnectionDirective::Close)
 }
 
 /// Renders the 500 a worker answers with after `process_job` panics.
 /// The handler's state is unknowable mid-panic, so the response always
 /// closes; like the malformed 400 it carries no request id or timing
 /// headers, only the `(route="panic", 500)` metrics sample.
-pub(crate) fn render_worker_panic(shared: &Shared) -> Vec<u8> {
+pub(crate) fn render_worker_panic(shared: &Shared) -> Framed {
     shared.metrics.record_request("panic", 500);
     let body = Json::obj([("error", Json::str("internal server error"))]);
-    let mut out = Vec::new();
-    let _ = write_response(
-        &mut out,
-        500,
-        &body.to_string(),
-        &[],
-        ConnectionDirective::Close,
-    );
-    out
+    frame_response(500, body.to_string(), &[], ConnectionDirective::Close)
 }
 
 /// Renders the 503 an over-cap connection is shed with.
-pub(crate) fn render_overloaded_close() -> Vec<u8> {
+pub(crate) fn render_overloaded_close() -> Framed {
     let body = Json::obj([(
         "error",
         Json::str("server overloaded: too many open connections"),
     )]);
-    let mut out = Vec::new();
-    let _ = write_response(
-        &mut out,
+    frame_response(
         503,
-        &body.to_string(),
+        body.to_string(),
         &[("Retry-After", "1".to_string())],
         ConnectionDirective::Close,
-    );
-    out
+    )
 }
 
 /// The 429 body for a shed request.

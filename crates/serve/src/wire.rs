@@ -751,6 +751,11 @@ pub fn encode_session_stats(
             Json::Int(stats.vectorized_predicates as i64),
         ),
         ("row_fallbacks", Json::Int(stats.row_fallbacks as i64)),
+        // Registration's columnar `H(D)`: same single-cell contract.
+        (
+            "register_row_fallbacks",
+            Json::Int(stats.register_row_fallbacks as i64),
+        ),
         // The static analyzer: same single-cell contract again —
         // rejections happen on requests that never commit counters, so
         // both endpoints read the analyzer's atomic cells.

@@ -545,6 +545,14 @@ fn stats_and_metrics_agree_on_columnar_counters() {
     assert_eq!(batches, request_batches);
     assert_eq!(predicates, request_predicates);
     assert_eq!(fallbacks, 0, "every retail statement vectorizes");
+    let register_fallbacks = stats
+        .get("register_row_fallbacks")
+        .and_then(Json::as_i64)
+        .unwrap();
+    assert_eq!(
+        register_fallbacks, 0,
+        "the retail history registers on the columnar trunk"
+    );
 
     // /metrics reads the very same cells.
     let scrape = client.request("GET", "/metrics", None, false).unwrap();
@@ -553,6 +561,7 @@ fn stats_and_metrics_agree_on_columnar_counters() {
         format!("mahif_columnar_batches_total {batches}"),
         format!("mahif_vectorized_predicates_total {predicates}"),
         format!("mahif_row_fallbacks_total {fallbacks}"),
+        format!("mahif_register_row_fallbacks_total {register_fallbacks}"),
     ] {
         assert!(scrape.body.contains(&line), "{line}\n{}", scrape.body);
     }

@@ -15,13 +15,14 @@
 //! and answers it.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use mahif_expr::Expr;
 use mahif_history::{
     naive_what_if, DatabaseDelta, History, NormalizedWhatIf, RelationDelta, WhatIfRef,
 };
-use mahif_query::{evaluate, filter_relation};
+use mahif_query::{count_where, evaluate, filter_relation};
 use mahif_reenact::columnar::reenact_side_columnar;
 use mahif_reenact::split::{split_reenactment, SplitReenactment};
 use mahif_slicing::{
@@ -244,8 +245,10 @@ pub struct GroupPlan {
     shared_columnar: ColumnarCounters,
     /// Original-side reenactment result per relation (parallel to
     /// `relations`) — the shared half of phase 3, computed once and sorted
-    /// by `Tuple::total_cmp` for the members' delta merges.
-    original_results: Vec<Relation>,
+    /// by `Tuple::total_cmp` for the members' delta merges. Shared, not
+    /// copied, by every member's delta: its `−` tuples are positions into
+    /// these relations (see `RelationDelta`).
+    original_results: Vec<Arc<Relation>>,
     /// `count_matching` of the original-side condition per relation
     /// (parallel to `relations`), for the input-tuple statistics.
     original_matching: Vec<usize>,
@@ -472,7 +475,7 @@ impl GroupPlan {
             // Sorted once here, so every member's delta is a merge against
             // it and sorts only its own modified side.
             original.sort();
-            original_results.push(original);
+            original_results.push(Arc::new(original));
             relation_timings.push(relation_start.elapsed());
         }
         let shared_reenactment = start.elapsed();
@@ -627,7 +630,9 @@ impl GroupPlan {
         }
 
         // Phase 4: delta against the cached (pre-sorted) original-side
-        // results; only the member's own side needs sorting.
+        // results; only the member's own side needs sorting. The delta
+        // points into the shared original side and moves its `+` tuples out
+        // of the member's: no tuple is copied.
         let start = Instant::now();
         let mut deltas = Vec::new();
         for ((relation, left), mut right) in self
@@ -637,7 +642,7 @@ impl GroupPlan {
             .zip(modified_results)
         {
             right.sort();
-            let delta = RelationDelta::compute_sorted(relation, left, &right);
+            let delta = RelationDelta::compute_sorted(relation, left, right);
             if !delta.is_empty() {
                 deltas.push(delta);
             }
@@ -704,6 +709,14 @@ impl GroupPlan {
         &self.relations
     }
 
+    /// The plan's sorted original-side reenactment of `relation`, the side
+    /// every member's delta points its `−` tuples into (`None` for a
+    /// relation the plan does not cover).
+    pub fn original_side(&self, relation: &str) -> Option<&Arc<Relation>> {
+        let i = self.relations.iter().position(|r| r == relation)?;
+        Some(&self.original_results[i])
+    }
+
     /// A rough estimate of the plan's resident size in bytes (cached
     /// relation tuples dominate). Used by the provisioning cache's byte
     /// budget; deliberately cheap and approximate, not an allocator count.
@@ -712,11 +725,7 @@ impl GroupPlan {
         // 64 bytes is a deliberately generous per-tuple charge so the byte
         // budget errs toward evicting early rather than blowing the cap.
         const TUPLE_COST: usize = 64;
-        let cached_tuples: usize = self
-            .original_results
-            .iter()
-            .map(Relation::len)
-            .sum::<usize>()
+        let cached_tuples: usize = self.original_results.iter().map(|r| r.len()).sum::<usize>()
             + self
                 .filtered_base
                 .iter()
@@ -750,7 +759,7 @@ fn count_matching(rel: &Relation, cond: &Expr) -> Result<usize, MahifError> {
     if cond.is_false() {
         return Ok(0);
     }
-    Ok(filter_relation(rel, cond)?.len())
+    Ok(count_where(rel, cond)?)
 }
 
 /// Reenacts one history over one relation, applying the data-slicing

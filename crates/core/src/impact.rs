@@ -311,8 +311,8 @@ pub fn impact_of(delta: &DatabaseDelta, spec: &ImpactSpec) -> Result<ImpactRepor
     };
     let mut report = empty;
     let mut groups: Vec<GroupImpact> = Vec::new();
-    for dt in &rel_delta.tuples {
-        let metric = metric_value(rel_delta, &dt.tuple, &spec.metric)?;
+    for (annotation, tuple) in rel_delta.iter() {
+        let metric = metric_value(rel_delta, tuple, &spec.metric)?;
         let key: Vec<Value> = spec
             .group_by
             .iter()
@@ -320,11 +320,11 @@ pub fn impact_of(delta: &DatabaseDelta, spec: &ImpactSpec) -> Result<ImpactRepor
                 rel_delta
                     .schema
                     .index_of(g)
-                    .and_then(|i| dt.tuple.value(i).cloned())
+                    .and_then(|i| tuple.value(i).cloned())
                     .unwrap_or(Value::Null)
             })
             .collect();
-        absorb(&mut report.overall, dt.annotation, metric);
+        absorb(&mut report.overall, annotation, metric);
         if !spec.group_by.is_empty() {
             let slot = match groups.iter_mut().find(|g| g.key == key) {
                 Some(g) => g,
@@ -339,7 +339,7 @@ pub fn impact_of(delta: &DatabaseDelta, spec: &ImpactSpec) -> Result<ImpactRepor
                     groups.last_mut().expect("just pushed")
                 }
             };
-            absorb(slot, dt.annotation, metric);
+            absorb(slot, annotation, metric);
         }
     }
     groups.sort_by(|a, b| {

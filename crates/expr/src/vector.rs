@@ -188,6 +188,88 @@ pub enum ColumnData {
     Null(usize),
 }
 
+/// Builds a [`Column`] one value at a time, so a row relation can be
+/// encoded in one row-major pass over its tuples (see
+/// `Relation::to_columnar`). The column stays all-NULL until its first
+/// non-NULL value fixes the type; a later value of another type is a
+/// mismatch. NULL rows hold `0` / `false`, as [`Column::from_values`]
+/// has always written them.
+#[derive(Debug)]
+pub struct ColumnBuilder {
+    data: ColumnData,
+    valid: Bitmap,
+    capacity: usize,
+}
+
+impl ColumnBuilder {
+    /// An empty builder with room for `capacity` rows.
+    pub fn with_capacity(capacity: usize) -> Self {
+        ColumnBuilder {
+            data: ColumnData::Null(0),
+            valid: Bitmap {
+                words: Vec::with_capacity(capacity.div_ceil(64)),
+                len: 0,
+            },
+            capacity,
+        }
+    }
+
+    /// Appends `v`, interning a string into `pool`. Returns `false` (and
+    /// appends nothing) when `v`'s runtime type differs from the column's.
+    pub fn push(&mut self, v: &Value, pool: &mut StrPool) -> bool {
+        match (&mut self.data, v) {
+            (data, Value::Null) => {
+                match data {
+                    ColumnData::Int(out) => out.push(0),
+                    ColumnData::Str(out) => out.push(0),
+                    ColumnData::Bool(out) => out.push(false),
+                    ColumnData::Null(n) => *n += 1,
+                }
+                self.valid.push(false);
+                return true;
+            }
+            (ColumnData::Int(out), Value::Int(x)) => out.push(*x),
+            (ColumnData::Str(out), Value::Str(s)) => out.push(pool.intern(s)),
+            (ColumnData::Bool(out), Value::Bool(b)) => out.push(*b),
+            (ColumnData::Null(nulls), v) => {
+                let (nulls, capacity) = (*nulls, self.capacity.max(*nulls + 1));
+                self.data = match v {
+                    Value::Int(x) => {
+                        let mut out = Vec::with_capacity(capacity);
+                        out.resize(nulls, 0);
+                        out.push(*x);
+                        ColumnData::Int(out)
+                    }
+                    Value::Str(s) => {
+                        let mut out = Vec::with_capacity(capacity);
+                        out.resize(nulls, 0);
+                        out.push(pool.intern(s));
+                        ColumnData::Str(out)
+                    }
+                    Value::Bool(b) => {
+                        let mut out = Vec::with_capacity(capacity);
+                        out.resize(nulls, false);
+                        out.push(*b);
+                        ColumnData::Bool(out)
+                    }
+                    Value::Null => unreachable!("NULL is matched above"),
+                };
+            }
+            _ => return false,
+        }
+        self.valid.push(true);
+        true
+    }
+
+    /// The column built so far.
+    pub fn finish(self) -> Column {
+        Column {
+            data: self.data,
+            valid: self.valid,
+        }
+    }
+}
+
 /// A typed column with validity bitmap.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Column {
@@ -225,62 +307,19 @@ impl Column {
 
     /// Encode a sequence of row values as a column, interning strings into
     /// `pool`. Returns `None` when the values mix runtime types (the caller
-    /// falls back to row storage; NULLs unify with everything).
+    /// falls back to row storage; NULLs unify with everything); strings
+    /// seen before the mismatch may then be left in `pool`.
     pub fn from_values<'a>(
-        values: impl Iterator<Item = &'a Value> + Clone,
+        values: impl Iterator<Item = &'a Value>,
         pool: &mut StrPool,
     ) -> Option<Column> {
-        let mut vtype = VType::Null;
-        let mut n = 0usize;
-        for v in values.clone() {
-            n += 1;
-            let t = match v {
-                Value::Int(_) => VType::Int,
-                Value::Str(_) => VType::Str,
-                Value::Bool(_) => VType::Bool,
-                Value::Null => continue,
-            };
-            if vtype == VType::Null {
-                vtype = t;
-            } else if vtype != t {
+        let mut builder = ColumnBuilder::with_capacity(values.size_hint().0);
+        for v in values {
+            if !builder.push(v, pool) {
                 return None;
             }
         }
-        let mut valid = Bitmap::filled(n, false);
-        let data = match vtype {
-            VType::Null => ColumnData::Null(n),
-            VType::Int => {
-                let mut out = vec![0i64; n];
-                for (i, v) in values.enumerate() {
-                    if let Value::Int(x) = v {
-                        out[i] = *x;
-                        valid.set(i, true);
-                    }
-                }
-                ColumnData::Int(out)
-            }
-            VType::Str => {
-                let mut out = vec![0u32; n];
-                for (i, v) in values.enumerate() {
-                    if let Value::Str(s) = v {
-                        out[i] = pool.intern(s);
-                        valid.set(i, true);
-                    }
-                }
-                ColumnData::Str(out)
-            }
-            VType::Bool => {
-                let mut out = vec![false; n];
-                for (i, v) in values.enumerate() {
-                    if let Value::Bool(b) = v {
-                        out[i] = *b;
-                        valid.set(i, true);
-                    }
-                }
-                ColumnData::Bool(out)
-            }
-        };
-        Some(Column { data, valid })
+        Some(builder.finish())
     }
 
     /// Decode row `i` back into a [`Value`] (lossless; pooled strings come

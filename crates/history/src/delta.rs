@@ -11,6 +11,11 @@
 //! `SUM` over the delta equal the difference of the two states' `SUM`s.
 //! The output is already in delta order (tuple, then `−` before `+`).
 //!
+//! A relation delta copies none of the tuples the engine reenacted: its
+//! `−` tuples are positions into the original side they came from, which a
+//! group plan shares with every member's answer, and its `+` tuples are
+//! moved out of the member's own modified side (see [`RelationDelta`]).
+//!
 //! Per-relation deltas are stored behind [`Arc`] so that a batch of
 //! what-if scenarios whose answers coincide (the common case in a
 //! parameter sweep: most thresholds waive the same two orders) can share
@@ -19,7 +24,7 @@
 //! is answered; equality and display semantics are unchanged, only the
 //! storage is deduplicated.
 
-use std::borrow::Borrow;
+use std::cmp::Ordering;
 use std::fmt;
 use std::sync::Arc;
 
@@ -46,24 +51,38 @@ impl fmt::Display for Annotation {
     }
 }
 
-/// A single annotated tuple of a delta.
-#[derive(Debug, Clone, PartialEq, Hash)]
-pub struct DeltaTuple {
-    /// `+` or `−`.
-    pub annotation: Annotation,
-    /// The tuple.
-    pub tuple: Tuple,
-}
-
-/// The delta of one relation.
-#[derive(Debug, Clone, PartialEq)]
+/// The delta of one relation: its `−` tuples and its `+` tuples, each list
+/// in tuple order.
+///
+/// **What it shares.** The `−` tuples are positions into an original side
+/// held behind an [`Arc`]. On the engine path that side is the group
+/// plan's sorted original-side reenactment, the one every member of the
+/// group and every later cache hit merges against, so no `−` tuple is
+/// copied. An answer that is still held keeps that side alive after its
+/// plan is evicted from the provisioning cache. The `+` tuples are owned:
+/// the engine moves them out of the member's own modified side and drops
+/// the rest there. [`compute`](Self::compute) on borrowed relations (the
+/// naive method N, [`DatabaseDelta::compute`], tests) copies just the
+/// picked tuples into a side of its own.
+///
+/// **What it means.** The annotated sequence — [`iter`](Self::iter), `==`
+/// and the display — is the merge of the two lists by
+/// [`Tuple::total_cmp`], `−` before `+` on equal tuples. A computed delta
+/// has no such ties (a tuple is never surplus on both sides), and the two
+/// lists are exactly the sequence's `−` and `+` tuples, so equality
+/// compares the lists.
+#[derive(Clone)]
 pub struct RelationDelta {
     /// Relation name.
     pub relation: String,
     /// Relation schema.
     pub schema: SchemaRef,
-    /// Annotated tuples, sorted deterministically.
-    pub tuples: Vec<DeltaTuple>,
+    /// The side the `−` tuples are drawn from.
+    original: Arc<Relation>,
+    /// Positions of the `−` tuples in `original`.
+    minus: Vec<usize>,
+    /// The `+` tuples.
+    plus: Vec<Tuple>,
 }
 
 /// References to `relation`'s tuples, sorted by [`Tuple::total_cmp`].
@@ -74,69 +93,133 @@ fn sorted(relation: &Relation) -> Vec<&Tuple> {
 }
 
 impl RelationDelta {
+    /// A delta from its two lists, in the order given (tuple order for a
+    /// delta as computed).
+    pub fn new(
+        relation: impl Into<String>,
+        schema: SchemaRef,
+        minus: Vec<Tuple>,
+        plus: Vec<Tuple>,
+    ) -> RelationDelta {
+        RelationDelta {
+            relation: relation.into(),
+            minus: (0..minus.len()).collect(),
+            original: Arc::new(Relation {
+                schema: schema.clone(),
+                tuples: minus,
+            }),
+            schema,
+            plus,
+        }
+    }
+
     /// Computes `Δ(left, right)` for a single relation, counting copies:
     /// `t` appears `max(0, #right(t) − #left(t))` times as `+t` and
-    /// `max(0, #left(t) − #right(t))` times as `−t`.
+    /// `max(0, #left(t) − #right(t))` times as `−t`. Only the picked
+    /// tuples are copied.
     pub fn compute(relation: &str, left: &Relation, right: &Relation) -> RelationDelta {
-        Self::merge(relation, left.schema.clone(), &sorted(left), &sorted(right))
+        let (left_sorted, right_sorted) = (sorted(left), sorted(right));
+        let (mut minus, mut plus) = (Vec::new(), Vec::new());
+        one_sided_tuples(&left_sorted, &right_sorted, |side, i| match side {
+            Side::Left => minus.push(left_sorted[i].clone()),
+            Side::Right => plus.push(right_sorted[i].clone()),
+        });
+        RelationDelta::new(relation, left.schema.clone(), minus, plus)
     }
 
     /// [`compute`](Self::compute) for two relations whose tuples are
-    /// already sorted by [`Tuple::total_cmp`] (see [`Relation::sort`]):
-    /// the merge alone, no sort.
-    pub fn compute_sorted(relation: &str, left: &Relation, right: &Relation) -> RelationDelta {
-        Self::merge(relation, left.schema.clone(), &left.tuples, &right.tuples)
-    }
-
-    fn merge<L: Borrow<Tuple>, R: Borrow<Tuple>>(
+    /// already sorted by [`Tuple::total_cmp`] (see [`Relation::sort`]),
+    /// copying nothing: the `−` tuples stay in `left` and are referenced
+    /// by position, and the `+` tuples are moved out of `right`, whose
+    /// other tuples are dropped.
+    pub fn compute_sorted(
         relation: &str,
-        schema: SchemaRef,
-        left: &[L],
-        right: &[R],
+        left: &Arc<Relation>,
+        mut right: Relation,
     ) -> RelationDelta {
-        let mut tuples = Vec::new();
-        one_sided_tuples(left, right, |side, t| {
-            tuples.push(DeltaTuple {
-                annotation: match side {
-                    Side::Left => Annotation::Minus,
-                    Side::Right => Annotation::Plus,
-                },
-                tuple: t.clone(),
-            })
+        let (mut minus, mut plus) = (Vec::new(), Vec::new());
+        one_sided_tuples(&left.tuples, &right.tuples, |side, i| match side {
+            Side::Left => minus.push(i),
+            Side::Right => plus.push(i),
         });
+        right.retain_positions(&plus);
         RelationDelta {
             relation: relation.to_string(),
-            schema,
-            tuples,
+            schema: left.schema.clone(),
+            original: Arc::clone(left),
+            minus,
+            plus: right.tuples,
         }
     }
 
     /// Number of annotated tuples.
     pub fn len(&self) -> usize {
-        self.tuples.len()
+        self.minus.len() + self.plus.len()
     }
 
     /// True when the delta is empty.
     pub fn is_empty(&self) -> bool {
-        self.tuples.is_empty()
+        self.len() == 0
     }
 
-    /// The tuples annotated `+`.
-    pub fn plus_tuples(&self) -> Vec<&Tuple> {
-        self.tuples
-            .iter()
-            .filter(|t| t.annotation == Annotation::Plus)
-            .map(|t| &t.tuple)
-            .collect()
+    /// The tuples annotated `+`, in delta order.
+    pub fn plus_tuples(&self) -> &[Tuple] {
+        &self.plus
     }
 
-    /// The tuples annotated `−`.
-    pub fn minus_tuples(&self) -> Vec<&Tuple> {
-        self.tuples
-            .iter()
-            .filter(|t| t.annotation == Annotation::Minus)
-            .map(|t| &t.tuple)
-            .collect()
+    /// The tuples annotated `−`, in delta order.
+    pub fn minus_tuples(&self) -> impl ExactSizeIterator<Item = &Tuple> + Clone + '_ {
+        self.minus.iter().map(|&i| &self.original.tuples[i])
+    }
+
+    /// True when the `−` tuples are positions into `side` rather than a
+    /// copy of their own.
+    pub fn shares_original(&self, side: &Arc<Relation>) -> bool {
+        Arc::ptr_eq(&self.original, side)
+    }
+
+    /// The annotated tuples in delta order: the merge of the `−` and `+`
+    /// lists by [`Tuple::total_cmp`], `−` first on equal tuples.
+    pub fn iter(&self) -> impl Iterator<Item = (Annotation, &Tuple)> + '_ {
+        let mut minus = self.minus_tuples().peekable();
+        let mut plus = self.plus.iter().peekable();
+        std::iter::from_fn(move || {
+            let take_minus = match (minus.peek(), plus.peek()) {
+                (Some(m), Some(p)) => m.total_cmp(p) != Ordering::Greater,
+                (Some(_), None) => true,
+                (None, Some(_)) => false,
+                (None, None) => return None,
+            };
+            if take_minus {
+                minus.next().map(|t| (Annotation::Minus, t))
+            } else {
+                plus.next().map(|t| (Annotation::Plus, t))
+            }
+        })
+    }
+}
+
+impl PartialEq for RelationDelta {
+    fn eq(&self, other: &RelationDelta) -> bool {
+        self.relation == other.relation
+            && self.schema == other.schema
+            && self.minus.len() == other.minus.len()
+            && self.plus == other.plus
+            // Two answers of one plan point into the same side: equal
+            // positions are equal tuples, with no tuple compared.
+            && ((Arc::ptr_eq(&self.original, &other.original) && self.minus == other.minus)
+                || self.minus_tuples().eq(other.minus_tuples()))
+    }
+}
+
+impl fmt::Debug for RelationDelta {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("RelationDelta")
+            .field("relation", &self.relation)
+            .field("schema", &self.schema)
+            .field("minus", &self.minus_tuples().collect::<Vec<_>>())
+            .field("plus", &self.plus)
+            .finish()
     }
 }
 
@@ -263,22 +346,26 @@ pub struct DeltaInterner {
     deduped_tuples: usize,
 }
 
-/// The interner's bucket key: the relation, the tuple count and three
-/// sampled tuples (first, middle, last). Hashing every tuple would cost as
-/// much as the equality check it is meant to spare; the samples already
-/// separate the deltas a sweep produces, and full `==` decides within a
-/// bucket.
+/// The interner's bucket key: the relation, the tuple count and up to
+/// three sampled tuples of each list (first, middle, last). Hashing every
+/// tuple would cost as much as the equality check it is meant to spare;
+/// the samples already separate the deltas a sweep produces, and full `==`
+/// decides within a bucket.
 fn relation_delta_key(delta: &RelationDelta) -> u64 {
     use std::hash::{Hash, Hasher};
-    let mut hasher = std::collections::hash_map::DefaultHasher::new();
-    delta.relation.hash(&mut hasher);
-    let n = delta.tuples.len();
-    n.hash(&mut hasher);
-    if n > 0 {
-        for i in [0, n / 2, n - 1] {
-            delta.tuples[i].hash(&mut hasher);
+    fn samples<'a>(n: usize, at: impl Fn(usize) -> &'a Tuple, hasher: &mut impl Hasher) {
+        n.hash(hasher);
+        if n > 0 {
+            for i in [0, n / 2, n - 1] {
+                at(i).hash(hasher);
+            }
         }
     }
+    let mut hasher = std::collections::hash_map::DefaultHasher::new();
+    delta.relation.hash(&mut hasher);
+    let minus = |i: usize| &delta.original.tuples[delta.minus[i]];
+    samples(delta.minus.len(), minus, &mut hasher);
+    samples(delta.plus.len(), |i| &delta.plus[i], &mut hasher);
     hasher.finish()
 }
 
@@ -326,8 +413,8 @@ impl fmt::Display for DatabaseDelta {
         }
         for rel in &self.relations {
             writeln!(f, "Δ[{}]:", rel.relation)?;
-            for t in &rel.tuples {
-                writeln!(f, "  {}{}", t.annotation, t.tuple)?;
+            for (annotation, tuple) in rel.iter() {
+                writeln!(f, "  {annotation}{tuple}")?;
             }
         }
         Ok(())
@@ -365,7 +452,7 @@ mod tests {
         let delta = DatabaseDelta::compute(&hd, &hmd);
         assert_eq!(delta.len(), 2);
         let order_delta = delta.relation("Order").unwrap();
-        let minus = order_delta.minus_tuples();
+        let minus: Vec<&Tuple> = order_delta.minus_tuples().collect();
         let plus = order_delta.plus_tuples();
         assert_eq!(minus.len(), 1);
         assert_eq!(plus.len(), 1);
@@ -458,17 +545,15 @@ mod tests {
     fn interner_separates_deltas_that_share_a_bucket_key() {
         let schema = mahif_storage::Schema::shared("R", vec![mahif_storage::Attribute::int("A")]);
         let delta_of = |values: &[i64]| {
-            DatabaseDelta::from_relations(vec![RelationDelta {
-                relation: "R".to_string(),
-                schema: schema.clone(),
-                tuples: values
+            DatabaseDelta::from_relations(vec![RelationDelta::new(
+                "R",
+                schema.clone(),
+                Vec::new(),
+                values
                     .iter()
-                    .map(|&v| DeltaTuple {
-                        annotation: Annotation::Plus,
-                        tuple: Tuple::from_iter_values([v]),
-                    })
+                    .map(|&v| Tuple::from_iter_values([v]))
                     .collect(),
-            }])
+            )])
         };
         // Same relation, length and first / middle / last tuples: one key,
         // different contents.
@@ -486,6 +571,26 @@ mod tests {
         assert_eq!(interner.intern(&mut c), 5, "an equal delta is shared");
         assert!(Arc::ptr_eq(&a.relations[0], &c.relations[0]));
         assert_eq!(b, delta_of(&[1, 9, 3, 4, 5]));
+    }
+
+    #[test]
+    fn equality_over_one_shared_side_compares_the_picked_tuples() {
+        let schema = mahif_storage::Schema::shared("R", vec![mahif_storage::Attribute::int("A")]);
+        let relation = |values: &[i64]| {
+            let tuples = values.iter().map(|&v| Tuple::from_iter_values([v]));
+            Relation::new(schema.clone(), tuples.collect()).unwrap()
+        };
+        let original = Arc::new(relation(&[1, 2]));
+        // Same side, same number of `−` tuples, different positions.
+        let drops_2 = RelationDelta::compute_sorted("R", &original, relation(&[1]));
+        let drops_1 = RelationDelta::compute_sorted("R", &original, relation(&[2]));
+        assert!(drops_2.shares_original(&original) && drops_1.shares_original(&original));
+        assert_ne!(drops_2, drops_1);
+        let again = RelationDelta::compute_sorted("R", &original, relation(&[1]));
+        assert_eq!(drops_2, again);
+        let owned = RelationDelta::compute("R", &original, &relation(&[1]));
+        assert!(!owned.shares_original(&original));
+        assert_eq!(owned, drops_2);
     }
 
     #[test]

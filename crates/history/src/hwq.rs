@@ -203,7 +203,8 @@ mod tests {
         let answer = q.answer_by_direct_execution().unwrap();
         assert_eq!(answer.len(), 2);
         let order = answer.relation("Order").unwrap();
-        assert_eq!(order.minus_tuples()[0].value(0), Some(&Value::int(12)));
+        let removed = order.minus_tuples().next().unwrap();
+        assert_eq!(removed.value(0), Some(&Value::int(12)));
         assert_eq!(order.plus_tuples()[0].value(4), Some(&Value::int(10)));
     }
 

@@ -28,7 +28,7 @@ pub mod modification;
 pub mod naive;
 pub mod statement;
 
-pub use delta::{Annotation, DatabaseDelta, DeltaInterner, DeltaTuple, RelationDelta};
+pub use delta::{Annotation, DatabaseDelta, DeltaInterner, RelationDelta};
 pub use error::HistoryError;
 pub use history::History;
 pub use hwq::{HistoricalWhatIf, NormalizedWhatIf, WhatIfRef};

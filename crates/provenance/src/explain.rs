@@ -92,13 +92,13 @@ pub fn explain_delta(
     for rel_delta in &delta.relations {
         let original_trace = trace_history(original, db, &rel_delta.relation)?;
         let modified_trace = trace_history(modified, db, &rel_delta.relation)?;
-        for dt in &rel_delta.tuples {
+        for (annotation, tuple) in rel_delta.iter() {
             // The side the tuple exists on determines which trace produced it.
-            let (own, other) = match dt.annotation {
+            let (own, other) = match annotation {
                 Annotation::Minus => (&original_trace, &modified_trace),
                 Annotation::Plus => (&modified_trace, &original_trace),
             };
-            let Some(producer) = own.traces_producing(&dt.tuple).into_iter().next() else {
+            let Some(producer) = own.traces_producing(tuple).into_iter().next() else {
                 continue;
             };
             // Find the same input tuple's lineage under the other history:
@@ -115,15 +115,15 @@ pub fn explain_delta(
                     deleted_at: None,
                     final_tuple: None,
                 });
-            let (original_lineage, modified_lineage) = match dt.annotation {
+            let (original_lineage, modified_lineage) = match annotation {
                 Annotation::Minus => (producer.clone(), counterpart),
                 Annotation::Plus => (counterpart, producer.clone()),
             };
             let divergence = first_divergence(&original_lineage, &modified_lineage);
             out.push(DeltaExplanation {
                 relation: rel_delta.relation.clone(),
-                annotation: dt.annotation,
-                tuple: dt.tuple.clone(),
+                annotation,
+                tuple: tuple.clone(),
                 source: producer.source,
                 input: producer.initial.clone(),
                 original: original_lineage,

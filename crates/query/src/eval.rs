@@ -56,13 +56,14 @@ fn evaluate_with_catalog(
             let mut r = evaluate_with_catalog(right, db, catalog)?;
             l.sort();
             r.sort();
-            let mut out = Relation::empty(l.schema.clone());
-            one_sided_tuples(&l.tuples, &r.tuples, |side, t| {
+            let mut surplus = Vec::new();
+            one_sided_tuples(&l.tuples, &r.tuples, |side, i| {
                 if side == Side::Left {
-                    out.tuples.push(t.clone());
+                    surplus.push(i);
                 }
             });
-            Ok(out)
+            l.retain_positions(&surplus);
+            Ok(l)
         }
         Query::Join { left, right, cond } => {
             let l = evaluate_with_catalog(left, db, catalog)?;
@@ -125,6 +126,20 @@ pub fn filter_relation(rel: &Relation, cond: &Expr) -> Result<Relation, QueryErr
         }
     }
     Ok(out)
+}
+
+/// The number of `rel`'s tuples [`filter_relation`] keeps, counted in place:
+/// the same tuples evaluated in the same order, so the same first error,
+/// and no tuple copied.
+pub fn count_where(rel: &Relation, cond: &Expr) -> Result<usize, QueryError> {
+    let mut count = 0;
+    for t in rel.iter() {
+        let bind = TupleBindings::new(&rel.schema, t);
+        if eval_condition(cond, &bind)? {
+            count += 1;
+        }
+    }
+    Ok(count)
 }
 
 #[cfg(test)]
@@ -287,8 +302,19 @@ mod tests {
     fn filter_relation_helper() {
         let db = order_db();
         let rel = db.relation("Order").unwrap();
-        let filtered = filter_relation(rel, &eq(attr("Country"), slit("UK"))).unwrap();
+        let uk = eq(attr("Country"), slit("UK"));
+        let filtered = filter_relation(rel, &uk).unwrap();
         assert_eq!(filtered.len(), 2);
+        assert_eq!(count_where(rel, &uk).unwrap(), 2);
+        // The first failing tuple's error, as `filter_relation` reports it.
+        let bad = gt(
+            div(attr("Price"), sub(attr("Price"), attr("Price"))),
+            lit(0),
+        );
+        assert_eq!(
+            count_where(rel, &bad).unwrap_err().to_string(),
+            filter_relation(rel, &bad).unwrap_err().to_string()
+        );
     }
 
     #[test]

@@ -34,6 +34,6 @@ pub use aggregate::{aggregate_relation, AggFunc, Aggregate, AggregateQuery};
 pub use ast::{ProjectItem, Query};
 pub use catalog::Catalog;
 pub use error::QueryError;
-pub use eval::{evaluate, filter_relation, project_single};
+pub use eval::{count_where, evaluate, filter_relation, project_single};
 pub use pushdown::{push_condition, push_condition_for_relation};
 pub use schema_infer::infer_schema;

@@ -779,19 +779,33 @@ impl Json {
     }
 }
 
+/// The two-digit decimal strings `"00"` to `"99"`, back to back.
+const DIGIT_PAIRS: &[u8; 200] = b"\
+0001020304050607080910111213141516171819\
+2021222324252627282930313233343536373839\
+4041424344454647484950515253545556575859\
+6061626364656667686970717273747576777879\
+8081828384858687888990919293949596979899";
+
 /// Appends the decimal digits of `i`, through a digit buffer rather than
-/// the formatting machinery.
+/// the formatting machinery, two digits per division.
 pub(crate) fn write_int(out: &mut String, i: i64) {
     let mut buf = [0u8; 20];
     let mut pos = buf.len();
     let mut n = i.unsigned_abs();
-    loop {
+    while n >= 100 {
+        let pair = (n % 100) as usize * 2;
+        n /= 100;
+        pos -= 2;
+        buf[pos..pos + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    }
+    if n >= 10 {
+        let pair = n as usize * 2;
+        pos -= 2;
+        buf[pos..pos + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    } else {
         pos -= 1;
-        buf[pos] = b'0' + (n % 10) as u8;
-        n /= 10;
-        if n == 0 {
-            break;
-        }
+        buf[pos] = b'0' + n as u8;
     }
     if i < 0 {
         out.push('-');
@@ -860,6 +874,23 @@ mod tests {
         );
         assert_eq!(Json::parse("1.5").unwrap().as_f64(), Some(1.5));
         assert_eq!(Json::parse("1e3").unwrap().as_f64(), Some(1000.0));
+    }
+
+    #[test]
+    fn write_int_matches_the_formatter_at_every_digit_count() {
+        let mut values = vec![i64::MIN, i64::MAX, i64::MIN + 1];
+        let mut power = 1i64;
+        for _ in 0..19 {
+            values.extend([power - 1, power, power + 1, 5 * power]);
+            values.extend([1 - power, -power, -power - 1]);
+            power = power.saturating_mul(10);
+        }
+        values.extend(-1000..1000);
+        for v in values {
+            let mut out = String::new();
+            write_int(&mut out, v);
+            assert_eq!(out, v.to_string());
+        }
     }
 
     #[test]

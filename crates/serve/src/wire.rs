@@ -23,7 +23,7 @@ use mahif::{
     ScenarioSpec, SessionStats,
 };
 use mahif_expr::{DataType, Value};
-use mahif_history::{Annotation, DatabaseDelta, DeltaTuple, History, Statement};
+use mahif_history::{DatabaseDelta, History, Statement};
 use mahif_storage::{Attribute, Database, Relation, Schema, Tuple};
 
 use crate::admission::AdmissionSnapshot;
@@ -481,18 +481,16 @@ pub fn encode_delta(delta: &DatabaseDelta) -> Json {
         .relations
         .iter()
         .map(|r| {
-            let mut inserted = Vec::new();
-            let mut deleted = Vec::new();
-            for t in &r.tuples {
-                match t.annotation {
-                    Annotation::Plus => inserted.push(encode_tuple(&t.tuple)),
-                    Annotation::Minus => deleted.push(encode_tuple(&t.tuple)),
-                }
-            }
             Json::obj([
                 ("relation", Json::str(r.relation.clone())),
-                ("inserted", Json::Arr(inserted)),
-                ("deleted", Json::Arr(deleted)),
+                (
+                    "inserted",
+                    Json::Arr(r.plus_tuples().iter().map(encode_tuple).collect()),
+                ),
+                (
+                    "deleted",
+                    Json::Arr(r.minus_tuples().map(encode_tuple).collect()),
+                ),
             ])
         })
         .collect();
@@ -608,6 +606,7 @@ pub fn encode_response(response: &Response) -> Json {
 /// building and dropping it cost more than writing it. Only the small
 /// `impact` and `stats` objects go through their tree encoders.
 pub fn write_response_body(response: &Response, out: &mut String) {
+    out.reserve(body_size_hint(response));
     out.push_str("{\"history\":");
     write_escaped(out, &response.history);
     out.push_str(",\"method\":");
@@ -632,6 +631,26 @@ pub fn write_response_body(response: &Response, out: &mut String) {
     out.push('}');
 }
 
+/// A guess at the length of [`write_response_body`]'s output, from the
+/// deltas' tuple counts and arities, so a large body is written into one
+/// allocation instead of a doubling sequence of them. Only the capacity
+/// depends on it, never the bytes.
+fn body_size_hint(response: &Response) -> usize {
+    // Bytes per value with its comma, per tuple (its brackets and comma)
+    // and per scenario (names, keys, stats). Guessing high costs address
+    // space that is never written, not resident memory.
+    const VALUE: usize = 8;
+    const TUPLE: usize = 3;
+    const SCENARIO: usize = 256;
+    let tuples: usize = response
+        .scenarios
+        .iter()
+        .flat_map(|s| &s.answer.delta.relations)
+        .map(|r| r.len() * (r.schema.arity() * VALUE + TUPLE))
+        .sum();
+    1024 + response.scenarios.len() * SCENARIO + tuples
+}
+
 /// [`encode_delta`]'s bytes, written from the delta's tuples.
 fn write_delta(delta: &DatabaseDelta, out: &mut String) {
     out.push_str("{\"relations\":[");
@@ -642,9 +661,9 @@ fn write_delta(delta: &DatabaseDelta, out: &mut String) {
         out.push_str("{\"relation\":");
         write_escaped(out, &r.relation);
         out.push_str(",\"inserted\":");
-        write_tuples(&r.tuples, Annotation::Plus, out);
+        write_tuples(r.plus_tuples(), out);
         out.push_str(",\"deleted\":");
-        write_tuples(&r.tuples, Annotation::Minus, out);
+        write_tuples(r.minus_tuples(), out);
         out.push('}');
     }
     out.push_str("],\"tuples\":");
@@ -652,20 +671,15 @@ fn write_delta(delta: &DatabaseDelta, out: &mut String) {
     out.push('}');
 }
 
-/// The tuples annotated `annotation`, in delta order, as an array of value
-/// arrays.
-fn write_tuples(tuples: &[DeltaTuple], annotation: Annotation, out: &mut String) {
+/// One annotation's tuples, in delta order, as an array of value arrays.
+fn write_tuples<'a>(tuples: impl IntoIterator<Item = &'a Tuple>, out: &mut String) {
     out.push('[');
-    for (i, t) in tuples
-        .iter()
-        .filter(|t| t.annotation == annotation)
-        .enumerate()
-    {
+    for (i, t) in tuples.into_iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
         out.push('[');
-        for (j, v) in t.tuple.values.iter().enumerate() {
+        for (j, v) in t.values.iter().enumerate() {
             if j > 0 {
                 out.push(',');
             }

@@ -294,10 +294,11 @@ mod tests {
         running_example_database, running_example_history, running_example_u1_prime,
     };
     use mahif_history::{
-        DatabaseDelta, HistoricalWhatIf, Modification, ModificationSet, SetClause,
+        Annotation, DatabaseDelta, HistoricalWhatIf, Modification, ModificationSet, RelationDelta,
+        SetClause,
     };
     use mahif_query::evaluate;
-    use mahif_storage::{Database, TupleBindings};
+    use mahif_storage::{Database, Tuple, TupleBindings};
 
     fn bob_query() -> HistoricalWhatIf {
         HistoricalWhatIf::new(
@@ -344,14 +345,17 @@ mod tests {
             &evaluate(&sliced_orig, db).unwrap(),
             &evaluate(&sliced_mod, db).unwrap(),
         );
-        assert_eq!(full_delta.tuples, sliced_delta.tuples);
+        fn annotated(d: &RelationDelta) -> Vec<(Annotation, &Tuple)> {
+            d.iter().collect()
+        }
+        assert_eq!(annotated(&full_delta), annotated(&sliced_delta));
         // And both equal the reference answer.
         let reference = query.answer_by_direct_execution().unwrap();
         let reference_order = reference
             .relation("Order")
-            .map(|r| r.tuples.clone())
+            .map(annotated)
             .unwrap_or_default();
-        assert_eq!(full_delta.tuples, reference_order);
+        assert_eq!(annotated(&full_delta), reference_order);
     }
 
     #[test]
@@ -522,7 +526,14 @@ mod tests {
             &evaluate(&sliced_mod, &q.database).unwrap(),
         );
         let reference = q.answer_by_direct_execution().unwrap();
-        assert_eq!(delta.tuples, reference.relation("Order").unwrap().tuples);
+        assert_eq!(
+            delta.iter().collect::<Vec<_>>(),
+            reference
+                .relation("Order")
+                .unwrap()
+                .iter()
+                .collect::<Vec<_>>()
+        );
     }
 
     #[test]
@@ -600,8 +611,12 @@ mod tests {
             .answer_by_direct_execution()
             .unwrap();
             assert_eq!(
-                delta.tuples,
-                reference.relation("Order").unwrap().tuples,
+                delta.iter().collect::<Vec<_>>(),
+                reference
+                    .relation("Order")
+                    .unwrap()
+                    .iter()
+                    .collect::<Vec<_>>(),
                 "member {v} answer changed under the group condition"
             );
         }

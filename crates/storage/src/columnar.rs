@@ -10,7 +10,7 @@
 
 use std::sync::Arc;
 
-use mahif_expr::vector::{BatchSchema, Column, StrPool, VType};
+use mahif_expr::vector::{BatchSchema, Column, ColumnBuilder, StrPool, VType};
 
 use crate::relation::Relation;
 use crate::schema::SchemaRef;
@@ -101,19 +101,25 @@ impl ColumnarRelation {
 }
 
 impl Relation {
-    /// Encode this relation column-wise. Returns `None` when some column
-    /// mixes runtime types and therefore has no typed encoding; callers keep
-    /// such relations on the row path.
+    /// Encode this relation column-wise, in one row-major pass over its
+    /// tuples (strings are pooled in row order). Returns `None` when some
+    /// column mixes runtime types and therefore has no typed encoding;
+    /// callers keep such relations on the row path.
     pub fn to_columnar(&self) -> Option<ColumnarRelation> {
         let mut pool = StrPool::new();
-        let mut columns = Vec::with_capacity(self.schema.attributes.len());
-        for c in 0..self.schema.attributes.len() {
-            let col = Column::from_values(self.iter().map(|t| &t.values[c]), &mut pool)?;
-            columns.push(Arc::new(col));
+        let mut builders: Vec<ColumnBuilder> = (0..self.schema.arity())
+            .map(|_| ColumnBuilder::with_capacity(self.len()))
+            .collect();
+        for t in self.iter() {
+            for (builder, v) in builders.iter_mut().zip(&t.values) {
+                if !builder.push(v, &mut pool) {
+                    return None;
+                }
+            }
         }
         Some(ColumnarRelation {
             schema: Arc::clone(&self.schema),
-            columns,
+            columns: builders.into_iter().map(|b| Arc::new(b.finish())).collect(),
             pool,
             len: self.len(),
         })
@@ -157,6 +163,38 @@ mod tests {
         // Repeated strings share one pooled entry.
         assert_eq!(c.pool.len(), 2);
         assert!(c.matches_declared_types());
+    }
+
+    #[test]
+    fn round_trip_with_two_string_columns_and_late_types() {
+        // Two string columns share one pool, filled in row order; the
+        // second column's type is fixed only after two NULL rows.
+        let schema = Schema::shared(
+            "t",
+            vec![
+                Attribute::new("a", DataType::Str),
+                Attribute::new("b", DataType::Str),
+                Attribute::new("c", DataType::Bool),
+            ],
+        );
+        let mut r = Relation::empty(schema);
+        for (a, b, c) in [
+            (Value::str("x"), Value::Null, Value::Null),
+            (Value::str("y"), Value::Null, Value::Bool(true)),
+            (Value::str("x"), Value::str("y"), Value::Null),
+            (Value::Null, Value::str("z"), Value::Bool(false)),
+        ] {
+            r.insert_values([a, b, c]).unwrap();
+        }
+        let c = r.to_columnar().expect("homogeneous columns");
+        assert_eq!(c.pool.len(), 3);
+        assert!(c.matches_declared_types());
+        assert_eq!(c.to_rows(), r);
+        for (i, col) in c.columns.iter().enumerate() {
+            let alone = Column::from_values(r.iter().map(|t| &t.values[i]), &mut StrPool::new())
+                .expect("homogeneous");
+            assert_eq!((col.vtype(), &col.valid), (alone.vtype(), &alone.valid));
+        }
     }
 
     #[test]

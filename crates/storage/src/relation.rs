@@ -133,6 +133,19 @@ impl Relation {
         self.tuples.sort_unstable_by(Tuple::total_cmp);
     }
 
+    /// Keeps only the tuples at `positions` (strictly ascending, as
+    /// [`one_sided_tuples`] emits them) and drops the rest in place: the
+    /// kept tuples move, none is copied.
+    pub fn retain_positions(&mut self, positions: &[usize]) {
+        let mut next = positions.iter().copied().peekable();
+        let mut position = 0;
+        self.tuples.retain(|_| {
+            let keep = next.next_if_eq(&position).is_some();
+            position += 1;
+            keep
+        });
+    }
+
     /// Bag union of two union-compatible relations (keeps the left schema).
     pub fn union_all(&self, other: &Relation) -> Result<Relation, StorageError> {
         if !self.schema.union_compatible(&other.schema) {
@@ -202,25 +215,25 @@ pub enum Side {
 
 /// Walks two bags sorted by [`Tuple::total_cmp`] once and calls `emit`
 /// once per copy by which a tuple's multiplicity on one side exceeds its
-/// multiplicity on the other, in ascending tuple order: bag semantics, so
-/// a tuple with `l` copies on the left and `r` on the right is emitted
-/// `l − r` times as [`Side::Left`] or `r − l` times as [`Side::Right`],
-/// and never when `l = r`. `total_cmp` reports `Equal` exactly when `==`
-/// holds (NULL equals NULL; values of different types never compare
-/// equal), so this is the bag difference taken both ways.
-pub fn one_sided_tuples<'a, L, R>(
-    left: &'a [L],
-    right: &'a [R],
-    mut emit: impl FnMut(Side, &'a Tuple),
-) where
+/// multiplicity on the other, with the copy's position in that side's
+/// slice, in ascending tuple order: bag semantics, so a tuple with `l`
+/// copies on the left and `r` on the right is emitted `l − r` times as
+/// [`Side::Left`] or `r − l` times as [`Side::Right`], and never when
+/// `l = r`. `total_cmp` reports `Equal` exactly when `==` holds (NULL
+/// equals NULL; values of different types never compare equal), so this
+/// is the bag difference taken both ways. The positions of each side are
+/// distinct and ascending, ready for [`Relation::retain_positions`]; the
+/// caller picks the tuples, so nothing is copied here.
+pub fn one_sided_tuples<L, R>(left: &[L], right: &[R], mut emit: impl FnMut(Side, usize))
+where
     L: Borrow<Tuple>,
     R: Borrow<Tuple>,
 {
     debug_assert!(left.is_sorted_by(|a, b| a.borrow().total_cmp(b.borrow()).is_le()));
     debug_assert!(right.is_sorted_by(|a, b| a.borrow().total_cmp(b.borrow()).is_le()));
-    let mut emit_run = |side, t, copies| {
-        for _ in 0..copies {
-            emit(side, t);
+    let mut emit_run = |side, start: usize, copies: usize| {
+        for position in start..start + copies {
+            emit(side, position);
         }
     };
     let (mut i, mut j) = (0, 0);
@@ -229,34 +242,26 @@ pub fn one_sided_tuples<'a, L, R>(
         match l.total_cmp(r) {
             Ordering::Less => {
                 let end = run_end(left, i);
-                emit_run(Side::Left, l, end - i);
+                emit_run(Side::Left, i, end - i);
                 i = end;
             }
             Ordering::Greater => {
                 let end = run_end(right, j);
-                emit_run(Side::Right, r, end - j);
+                emit_run(Side::Right, j, end - j);
                 j = end;
             }
             Ordering::Equal => {
                 let (l_end, r_end) = (run_end(left, i), run_end(right, j));
                 let (l_copies, r_copies) = (l_end - i, r_end - j);
-                emit_run(Side::Left, l, l_copies.saturating_sub(r_copies));
-                emit_run(Side::Right, r, r_copies.saturating_sub(l_copies));
+                emit_run(Side::Left, i, l_copies.saturating_sub(r_copies));
+                emit_run(Side::Right, j, r_copies.saturating_sub(l_copies));
                 i = l_end;
                 j = r_end;
             }
         }
     }
-    while i < left.len() {
-        let end = run_end(left, i);
-        emit_run(Side::Left, left[i].borrow(), end - i);
-        i = end;
-    }
-    while j < right.len() {
-        let end = run_end(right, j);
-        emit_run(Side::Right, right[j].borrow(), end - j);
-        j = end;
-    }
+    emit_run(Side::Left, i, left.len() - i);
+    emit_run(Side::Right, j, right.len() - j);
 }
 
 /// The index one past the run of tuples equal to `sorted[start]`.
@@ -334,7 +339,11 @@ mod tests {
         left.sort();
         right.sort();
         let mut out = Vec::new();
-        one_sided_tuples(&left.tuples, &right.tuples, |side, t| {
+        one_sided_tuples(&left.tuples, &right.tuples, |side, i| {
+            let t = match side {
+                Side::Left => &left.tuples[i],
+                Side::Right => &right.tuples[i],
+            };
             out.push((side, t.clone()))
         });
         out
@@ -368,6 +377,20 @@ mod tests {
         triple.tuples.extend(a.tuples.iter().cloned());
         assert!(one_sided(&triple, &triple).is_empty());
         assert_eq!(one_sided(&triple, &dup), surplus);
+    }
+
+    #[test]
+    fn retain_positions_keeps_exactly_the_picked_tuples_in_order() {
+        let a = sample();
+        let mut kept = a.clone();
+        kept.retain_positions(&[0, 2]);
+        assert_eq!(kept.tuples, vec![a.tuples[0].clone(), a.tuples[2].clone()]);
+        let mut none = a.clone();
+        none.retain_positions(&[]);
+        assert!(none.is_empty());
+        let mut all = a.clone();
+        all.retain_positions(&[0, 1, 2]);
+        assert_eq!(all, a);
     }
 
     #[test]

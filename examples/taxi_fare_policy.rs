@@ -65,7 +65,6 @@ fn main() {
         .sum();
     let minus: i64 = order_delta
         .minus_tuples()
-        .iter()
         .map(|t| t.value(total_idx).unwrap().as_int().unwrap())
         .sum();
 

@@ -7,21 +7,33 @@
 //! `Bool` at runtime, empty sides and identical sides, through both
 //! `RelationDelta::compute` and `DatabaseDelta::compute`.
 //!
+//! The engine's delta copies nothing: its `−` tuples are positions into a
+//! shared, sorted original side and its `+` tuples are moved out of the
+//! modified side (`RelationDelta::compute_sorted`). It must be the same
+//! delta as the copying `compute` in every observable way — `==`, the
+//! annotated sequence, the display, the lists and the wire bytes — and an
+//! answer that points into a group plan's original side must keep
+//! encoding the same bytes after the plan is gone.
+//!
 //! The duplicate-tuple probe at the end commits the case where a set delta
 //! went wrong: every method must answer like N, and a `SUM` impact must
 //! equal the difference of the two states' sums.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use mahif::{ImpactSpec, Method, Session};
-use mahif_expr::builder::{attr, eq, lit};
+use mahif::{EngineConfig, GroupPlan, ImpactSpec, Method, Session};
+use mahif_expr::builder::{add, attr, eq, ge, lit};
 use mahif_expr::Value;
 use mahif_history::{
-    Annotation, DatabaseDelta, DeltaTuple, History, RelationDelta, SetClause, Statement,
+    Annotation, DatabaseDelta, DeltaInterner, History, ModificationSet, NormalizedWhatIf,
+    RelationDelta, SetClause, Statement, WhatIfRef,
 };
-use mahif_storage::{Attribute, Database, Relation, Schema, SchemaRef, Tuple};
+use mahif_serve::{encode_delta, encode_response, write_response_body};
+use mahif_slicing::ProgramSliceResult;
+use mahif_storage::{Attribute, Database, Relation, Schema, SchemaRef, Tuple, VersionedDatabase};
 
 fn schema(name: &str) -> SchemaRef {
     Schema::shared(
@@ -52,32 +64,54 @@ fn bag_difference<'a>(left: &'a Relation, right: &Relation) -> Vec<&'a Tuple> {
         .collect()
 }
 
-/// The delta by definition: both bag differences, then sorted.
-fn reference_delta(relation: &str, left: &Relation, right: &Relation) -> RelationDelta {
+/// The annotated sequence by definition: both bag differences, ordered by
+/// tuple, then `−` before `+`.
+fn reference_sequence(left: &Relation, right: &Relation) -> Vec<(Annotation, Tuple)> {
     let minus = bag_difference(left, right)
         .into_iter()
-        .map(|t| (Annotation::Minus, t));
+        .map(|t| (Annotation::Minus, t.clone()));
     let plus = bag_difference(right, left)
         .into_iter()
-        .map(|t| (Annotation::Plus, t));
-    let mut tuples: Vec<DeltaTuple> = minus
-        .chain(plus)
-        .map(|(annotation, t)| DeltaTuple {
-            annotation,
-            tuple: t.clone(),
-        })
-        .collect();
+        .map(|t| (Annotation::Plus, t.clone()));
+    let mut tuples: Vec<(Annotation, Tuple)> = minus.chain(plus).collect();
     let rank = |a: Annotation| matches!(a, Annotation::Plus);
-    tuples.sort_by(|a, b| {
-        a.tuple
-            .total_cmp(&b.tuple)
-            .then_with(|| rank(a.annotation).cmp(&rank(b.annotation)))
-    });
-    RelationDelta {
-        relation: relation.to_string(),
-        schema: left.schema.clone(),
-        tuples,
-    }
+    tuples.sort_by(|a, b| a.1.total_cmp(&b.1).then_with(|| rank(a.0).cmp(&rank(b.0))));
+    tuples
+}
+
+/// The delta by definition, built from the reference sequence's two lists.
+fn reference_delta(relation: &str, left: &Relation, right: &Relation) -> RelationDelta {
+    let sequence = reference_sequence(left, right);
+    let of = |annotation| {
+        sequence
+            .iter()
+            .filter(|(a, _)| *a == annotation)
+            .map(|(_, t)| t.clone())
+            .collect()
+    };
+    RelationDelta::new(
+        relation,
+        left.schema.clone(),
+        of(Annotation::Minus),
+        of(Annotation::Plus),
+    )
+}
+
+/// Asserts that `a` and `b` are the same delta to every observer: `==`,
+/// the annotated sequence, the display, the length, both lists and the
+/// wire bytes.
+fn assert_same_delta(a: &RelationDelta, b: &RelationDelta) {
+    assert_eq!(a, b);
+    assert!(a.iter().eq(b.iter()), "annotated sequences differ");
+    assert_eq!(a.len(), b.len());
+    assert_eq!(a.plus_tuples(), b.plus_tuples());
+    assert!(a.minus_tuples().eq(b.minus_tuples()), "minus lists differ");
+    let (a, b) = (
+        DatabaseDelta::from_relations(vec![a.clone()]),
+        DatabaseDelta::from_relations(vec![b.clone()]),
+    );
+    assert_eq!(a.to_string(), b.to_string());
+    assert_eq!(encode_delta(&a).to_string(), encode_delta(&b).to_string());
 }
 
 /// A value of the mixed column: `Int`, `Str`, `Bool` or NULL at runtime.
@@ -163,21 +197,46 @@ proptest! {
         shape in arb_shape(),
         left in arb_bag(),
         extra in arb_bag(),
+        other in arb_bag(),
     ) {
         let (left, right) = sides(&shape, left, extra);
         let expected = reference_delta("R", &left, &right);
-        prop_assert_eq!(RelationDelta::compute("R", &left, &right), expected.clone());
-        prop_assert_eq!(
-            RelationDelta::compute("R", &right, &left),
-            reference_delta("R", &right, &left)
+        let owned = RelationDelta::compute("R", &left, &right);
+        assert_same_delta(&owned, &expected);
+        prop_assert!(owned.iter().map(|(a, t)| (a, t.clone())).eq(reference_sequence(&left, &right)));
+        assert_same_delta(
+            &RelationDelta::compute("R", &right, &left),
+            &reference_delta("R", &right, &left),
         );
+
+        // The engine's path: a shared sorted original side, the modified
+        // side moved in.
         let (mut sorted_left, mut sorted_right) = (left.clone(), right.clone());
         sorted_left.sort();
         sorted_right.sort();
+        let original = Arc::new(sorted_left);
+        let shared = RelationDelta::compute_sorted("R", &original, sorted_right);
+        prop_assert!(shared.shares_original(&original));
+        assert_same_delta(&shared, &owned);
+        assert_same_delta(&shared, &expected);
+
+        // Two deltas over one shared side are equal exactly when their
+        // definitions are, whether or not they picked the same positions.
+        let other = relation(other);
+        let mut other_sorted = other.clone();
+        other_sorted.sort();
         prop_assert_eq!(
-            RelationDelta::compute_sorted("R", &sorted_left, &sorted_right),
-            expected
+            shared == RelationDelta::compute_sorted("R", &original, other_sorted),
+            expected == reference_delta("R", &left, &other)
         );
+
+        // The interner dedupes an owned delta against an equal shared one.
+        let mut shared_db = DatabaseDelta::from_relations(vec![shared]);
+        let mut owned_db = DatabaseDelta::from_relations(vec![owned]);
+        let mut interner = DeltaInterner::new();
+        prop_assert_eq!(interner.intern(&mut shared_db), 0);
+        prop_assert_eq!(interner.intern(&mut owned_db), expected.len());
+        prop_assert!(Arc::ptr_eq(&shared_db.relations[0], &owned_db.relations[0]));
         if matches!(shape, Shape::Identical) {
             prop_assert!(RelationDelta::compute("R", &left, &right).is_empty());
         }
@@ -253,20 +312,12 @@ fn duplicate_tuple_probe_agrees_with_n_under_every_method() {
     let session = Session::with_history("dup", initial, history).expect("registers");
 
     let spec = ImpactSpec::sum_of("R", "V");
-    let expected = DatabaseDelta::from_relations(vec![RelationDelta {
-        relation: "R".to_string(),
+    let expected = DatabaseDelta::from_relations(vec![RelationDelta::new(
+        "R",
         schema,
-        tuples: vec![
-            DeltaTuple {
-                annotation: Annotation::Minus,
-                tuple: rows[0].clone(),
-            },
-            DeltaTuple {
-                annotation: Annotation::Plus,
-                tuple: rows[1].clone(),
-            },
-        ],
-    }]);
+        vec![rows[0].clone()],
+        vec![rows[1].clone()],
+    )]);
     let sum = |db: &Database| sum_v(db.relation("R").expect("R exists"));
     let true_change = sum(&hypothetical) - sum(&actual);
     assert_eq!((sum(&actual), sum(&hypothetical), true_change), (10, 11, 1));
@@ -288,4 +339,114 @@ fn duplicate_tuple_probe_agrees_with_n_under_every_method() {
             "{method}"
         );
     }
+}
+
+/// `R(K, V)` with duplicate and NULL `V`s, the history
+/// `UPDATE R SET V = V + 1 WHERE V >= 50`, and the what-if that moves the
+/// threshold to `t`.
+fn threshold_case() -> (Database, History, impl Fn(i64) -> ModificationSet) {
+    let schema = Schema::shared("R", vec![Attribute::int("K"), Attribute::int("V")]);
+    let rows = (0..120)
+        .map(|k| {
+            let v = if k % 17 == 0 {
+                Value::Null
+            } else {
+                Value::Int(k % 90)
+            };
+            Tuple::new(vec![Value::Int(k % 40), v])
+        })
+        .collect();
+    let mut initial = Database::new();
+    initial.put_relation(Relation::new(schema, rows).expect("arity 2"));
+    let bump = |t: i64| {
+        Statement::update(
+            "R",
+            SetClause::single("V", add(attr("V"), lit(1))),
+            ge(attr("V"), lit(t)),
+        )
+    };
+    let history = History::new(vec![bump(50)]);
+    (initial, history, move |t| {
+        ModificationSet::single_replace(0, bump(t))
+    })
+}
+
+/// A group plan's members point their `−` tuples into the plan's own
+/// original side (nothing copied), equal N's owned answers, and are
+/// deduped against them by the interner.
+#[test]
+fn member_deltas_point_into_the_plans_original_side() {
+    let (initial, history, what_if) = threshold_case();
+    let current = history.execute(&initial).expect("history runs");
+    let versioned = VersionedDatabase::new(initial.clone(), current.clone());
+    let modifications: Vec<ModificationSet> = [30, 45, 70].map(&what_if).into();
+    let normalized: Vec<NormalizedWhatIf> = modifications
+        .iter()
+        .map(|m| {
+            WhatIfRef::new(&history, &initial, m)
+                .normalize()
+                .expect("normalizes")
+        })
+        .collect();
+    let members: Vec<&NormalizedWhatIf> = normalized.iter().collect();
+    let plan = GroupPlan::build(
+        &members,
+        &ProgramSliceResult::keep_all(history.len()),
+        &versioned,
+        Method::Reenact,
+        &EngineConfig::default(),
+        None,
+    )
+    .expect("plan builds");
+    let original = plan.original_side("R").expect("the plan covers R");
+    let mut interner = DeltaInterner::new();
+    for (member, m) in normalized.iter().zip(&modifications) {
+        let mut answer = plan
+            .answer_in_group(member, &versioned)
+            .expect("member answers");
+        let delta = answer.delta.relation("R").expect("R differs");
+        assert!(delta.shares_original(original));
+        let hypothetical = m
+            .apply(&history)
+            .expect("modifies")
+            .execute(&initial)
+            .expect("what-if history runs");
+        let mut naive = DatabaseDelta::compute(&current, &hypothetical);
+        let naive_r = naive.relation("R").expect("R differs");
+        assert!(!naive_r.shares_original(original));
+        assert_same_delta(delta, naive_r);
+        assert_eq!(answer.delta, naive);
+        interner.intern(&mut answer.delta);
+        assert_eq!(interner.intern(&mut naive), naive.len());
+        assert!(Arc::ptr_eq(&naive.relations[0], &answer.delta.relations[0]));
+    }
+}
+
+/// A served answer holds the plan's original side, not the plan: after
+/// the history (and with it every cached plan) is gone, the response
+/// encodes the same bytes, through the reference tree and the served
+/// writer alike.
+#[test]
+fn response_encodes_the_same_bytes_after_its_plan_is_evicted() {
+    let (initial, history, what_if) = threshold_case();
+    let session = Session::with_history("h", initial, history).expect("registers");
+    let mut request = session.on("h").method(Method::ReenactPsDs);
+    for t in [30, 45, 70] {
+        request = request.scenario((format!("t{t}"), what_if(t)));
+    }
+    let response = request.run().expect("answers");
+    assert!(!response.delta().is_empty());
+    let encode = |response: &mahif::Response| {
+        let mut written = String::new();
+        write_response_body(response, &mut written);
+        (encode_response(response).to_string(), written)
+    };
+    let before = encode(&response);
+    assert_eq!(before.0, before.1);
+    let registered = session.history("h").expect("registered");
+    assert!(!registered.provisioned().cache().is_empty());
+    assert!(registered.provisioned().cache().clear() > 0);
+    drop(registered);
+    session.unregister("h").expect("unregisters");
+    assert_eq!(encode(&response), before);
 }

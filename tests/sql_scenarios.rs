@@ -37,8 +37,9 @@ fn running_example_in_sql_matches_the_paper() {
         // Example 2: Δ = {−o6, +o6'} — Alex's order pays 10 instead of 5.
         assert_eq!(answer.delta.len(), 2, "method {}", method.label());
         let order = answer.delta.relation("Order").unwrap();
-        assert_eq!(order.minus_tuples()[0].value(0), Some(&Value::int(12)));
-        assert_eq!(order.minus_tuples()[0].value(4), Some(&Value::int(5)));
+        let removed = order.minus_tuples().next().unwrap();
+        assert_eq!(removed.value(0), Some(&Value::int(12)));
+        assert_eq!(removed.value(4), Some(&Value::int(5)));
         assert_eq!(order.plus_tuples()[0].value(4), Some(&Value::int(10)));
     }
 }

@@ -19,18 +19,9 @@ use mahif_expr::{DataType, Value};
 use mahif_history::statement::{
     running_example_database, running_example_history, running_example_u1_prime,
 };
-use mahif_history::{
-    Annotation, DatabaseDelta, DeltaTuple, History, ModificationSet, RelationDelta,
-};
+use mahif_history::{DatabaseDelta, History, ModificationSet, RelationDelta};
 use mahif_serve::{encode_delta, encode_response, write_response_body, Json};
 use mahif_storage::{Attribute, Schema, Tuple};
-
-fn annotated(annotation: Annotation, values: Vec<Value>) -> DeltaTuple {
-    DeltaTuple {
-        annotation,
-        tuple: Tuple::new(values),
-    }
-}
 
 /// Extreme and negative integers, NULL, booleans, and strings that need
 /// every kind of escape next to ones that need none.
@@ -45,46 +36,36 @@ fn golden_delta() -> DatabaseDelta {
             Attribute::str("Memo"),
         ],
     );
-    let order = RelationDelta {
-        relation: "Order".to_string(),
-        schema: schema.clone(),
-        tuples: vec![
-            annotated(
-                Annotation::Minus,
-                vec![
-                    Value::Int(i64::MIN),
-                    Value::str("plain"),
-                    Value::Int(-5),
-                    Value::Bool(true),
-                    Value::Null,
-                ],
-            ),
-            annotated(
-                Annotation::Plus,
-                vec![
-                    Value::Int(-1),
-                    Value::str("quote \" back \\ bell \u{7} tab\t del \u{7f}"),
-                    Value::Int(0),
-                    Value::Bool(false),
-                    Value::str("naïve ☃ 𝄞"),
-                ],
-            ),
-        ],
-    };
-    let z = RelationDelta {
-        relation: "Z \"q\"".to_string(),
+    let order = RelationDelta::new(
+        "Order",
+        schema.clone(),
+        vec![Tuple::new(vec![
+            Value::Int(i64::MIN),
+            Value::str("plain"),
+            Value::Int(-5),
+            Value::Bool(true),
+            Value::Null,
+        ])],
+        vec![Tuple::new(vec![
+            Value::Int(-1),
+            Value::str("quote \" back \\ bell \u{7} tab\t del \u{7f}"),
+            Value::Int(0),
+            Value::Bool(false),
+            Value::str("naïve ☃ 𝄞"),
+        ])],
+    );
+    let z = RelationDelta::new(
+        "Z \"q\"",
         schema,
-        tuples: vec![annotated(
-            Annotation::Plus,
-            vec![
-                Value::Int(i64::MAX),
-                Value::str(""),
-                Value::Null,
-                Value::Null,
-                Value::str("\n\r\u{1f}\u{0}"),
-            ],
-        )],
-    };
+        Vec::new(),
+        vec![Tuple::new(vec![
+            Value::Int(i64::MAX),
+            Value::str(""),
+            Value::Null,
+            Value::Null,
+            Value::str("\n\r\u{1f}\u{0}"),
+        ])],
+    );
     DatabaseDelta::from_relations(vec![order, z])
 }
 
@@ -186,20 +167,17 @@ fn arb_value() -> impl Strategy<Value = Value> {
 }
 
 fn arb_relation_delta() -> impl Strategy<Value = RelationDelta> {
-    let tuple = (0u8..2, prop::collection::vec(arb_value(), 1..5)).prop_map(|(plus, values)| {
-        let annotation = if plus == 1 {
-            Annotation::Plus
-        } else {
-            Annotation::Minus
-        };
-        annotated(annotation, values)
-    });
+    let tuple = (0u8..2, prop::collection::vec(arb_value(), 1..5))
+        .prop_map(|(plus, values)| (plus == 1, Tuple::new(values)));
     (arb_string(), prop::collection::vec(tuple, 0..6)).prop_map(|(relation, tuples)| {
-        RelationDelta {
-            schema: Schema::shared(relation.clone(), vec![Attribute::int("K")]),
-            relation,
-            tuples,
-        }
+        let (plus, minus): (Vec<_>, Vec<_>) = tuples.into_iter().partition(|(plus, _)| *plus);
+        let list = |side: Vec<(bool, Tuple)>| side.into_iter().map(|(_, t)| t).collect();
+        RelationDelta::new(
+            relation.clone(),
+            Schema::shared(relation, vec![Attribute::int("K")]),
+            list(minus),
+            list(plus),
+        )
     })
 }
 

@@ -192,8 +192,7 @@ pub enum ColumnData {
 /// encoded in one row-major pass over its tuples (see
 /// `Relation::to_columnar`). The column stays all-NULL until its first
 /// non-NULL value fixes the type; a later value of another type is a
-/// mismatch. NULL rows hold `0` / `false`, as [`Column::from_values`]
-/// has always written them.
+/// mismatch. NULL rows hold `0` / `false`.
 #[derive(Debug)]
 pub struct ColumnBuilder {
     data: ColumnData,
@@ -303,23 +302,6 @@ impl Column {
             ColumnData::Bool(_) => VType::Bool,
             ColumnData::Null(_) => VType::Null,
         }
-    }
-
-    /// Encode a sequence of row values as a column, interning strings into
-    /// `pool`. Returns `None` when the values mix runtime types (the caller
-    /// falls back to row storage; NULLs unify with everything); strings
-    /// seen before the mismatch may then be left in `pool`.
-    pub fn from_values<'a>(
-        values: impl Iterator<Item = &'a Value>,
-        pool: &mut StrPool,
-    ) -> Option<Column> {
-        let mut builder = ColumnBuilder::with_capacity(values.size_hint().0);
-        for v in values {
-            if !builder.push(v, pool) {
-                return None;
-            }
-        }
-        Some(builder.finish())
     }
 
     /// Decode row `i` back into a [`Value`] (lossless; pooled strings come
@@ -1235,7 +1217,11 @@ mod tests {
         let mut cols = Vec::new();
         let mut attrs = Vec::new();
         for (c, name) in names.iter().enumerate() {
-            let col = Column::from_values(rows.iter().map(|r| &r[c]), &mut pool).unwrap();
+            let mut builder = ColumnBuilder::with_capacity(rows.len());
+            for r in rows {
+                assert!(builder.push(&r[c], &mut pool));
+            }
+            let col = builder.finish();
             attrs.push((name.to_string(), col.vtype()));
             cols.push(Arc::new(col));
         }
@@ -1365,9 +1351,11 @@ mod tests {
                 assert_eq!(col.value_at(i, &pool), row[c]);
             }
         }
-        // Mixed-type columns refuse the encoding.
-        let mixed = [Value::int(1), Value::str("x")];
-        assert!(Column::from_values(mixed.iter(), &mut StrPool::new()).is_none());
+        // A value of another type than the column's is refused.
+        let (mut builder, mut pool) = (ColumnBuilder::with_capacity(2), StrPool::new());
+        assert!(builder.push(&Value::int(1), &mut pool));
+        assert!(!builder.push(&Value::str("x"), &mut pool));
+        assert_eq!(builder.finish().len(), 1);
     }
 
     #[test]

@@ -131,7 +131,9 @@ impl RelationDelta {
     /// already sorted by [`Tuple::total_cmp`] (see [`Relation::sort`]),
     /// copying nothing: the `−` tuples stay in `left` and are referenced
     /// by position, and the `+` tuples are moved out of `right`, whose
-    /// other tuples are dropped.
+    /// other tuples are dropped. The kept buffer is shrunk when most of
+    /// `right` was dropped, so a held delta's memory follows its own
+    /// size, not the relation's.
     pub fn compute_sorted(
         relation: &str,
         left: &Arc<Relation>,
@@ -143,6 +145,9 @@ impl RelationDelta {
             Side::Right => plus.push(i),
         });
         right.retain_positions(&plus);
+        if right.tuples.capacity() > 2 * right.tuples.len() {
+            right.tuples.shrink_to_fit();
+        }
         RelationDelta {
             relation: relation.to_string(),
             schema: left.schema.clone(),
@@ -591,6 +596,25 @@ mod tests {
         let owned = RelationDelta::compute("R", &original, &relation(&[1]));
         assert!(!owned.shares_original(&original));
         assert_eq!(owned, drops_2);
+    }
+
+    #[test]
+    fn a_small_delta_over_a_large_side_holds_only_its_own_tuples() {
+        let schema = mahif_storage::Schema::shared("R", vec![mahif_storage::Attribute::int("A")]);
+        let relation = |values: std::ops::Range<i64>| {
+            let tuples = values.map(|v| Tuple::from_iter_values([v]));
+            Relation::new(schema.clone(), tuples.collect()).unwrap()
+        };
+        let original = Arc::new(relation(0..10_000));
+        // Every original tuple survives and three are new: the modified
+        // side's buffer of 10,003 tuples must not stay behind the delta.
+        let delta = RelationDelta::compute_sorted("R", &original, relation(0..10_003));
+        assert_eq!(delta.plus_tuples().len(), 3);
+        assert!(delta.plus.capacity() <= 2 * delta.plus.len());
+        assert_eq!(
+            delta,
+            RelationDelta::compute("R", &original, &relation(0..10_003))
+        );
     }
 
     #[test]

@@ -119,12 +119,7 @@ pub fn project_single(
 /// relation and returns the satisfying tuples. Used by data slicing tests.
 pub fn filter_relation(rel: &Relation, cond: &Expr) -> Result<Relation, QueryError> {
     let mut out = Relation::empty(rel.schema.clone());
-    for t in rel.iter() {
-        let bind = TupleBindings::new(&rel.schema, t);
-        if eval_condition(cond, &bind)? {
-            out.tuples.push(t.clone());
-        }
-    }
+    for_each_match(rel, cond, |t| out.tuples.push(t.clone()))?;
     Ok(out)
 }
 
@@ -133,13 +128,24 @@ pub fn filter_relation(rel: &Relation, cond: &Expr) -> Result<Relation, QueryErr
 /// and no tuple copied.
 pub fn count_where(rel: &Relation, cond: &Expr) -> Result<usize, QueryError> {
     let mut count = 0;
+    for_each_match(rel, cond, |_| count += 1)?;
+    Ok(count)
+}
+
+/// Calls `f` on each of `rel`'s tuples that satisfies `cond`, in relation
+/// order, stopping at the first tuple whose evaluation fails.
+fn for_each_match<'a>(
+    rel: &'a Relation,
+    cond: &Expr,
+    mut f: impl FnMut(&'a Tuple),
+) -> Result<(), QueryError> {
     for t in rel.iter() {
         let bind = TupleBindings::new(&rel.schema, t);
         if eval_condition(cond, &bind)? {
-            count += 1;
+            f(t);
         }
     }
-    Ok(count)
+    Ok(())
 }
 
 #[cfg(test)]

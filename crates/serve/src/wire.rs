@@ -606,7 +606,6 @@ pub fn encode_response(response: &Response) -> Json {
 /// building and dropping it cost more than writing it. Only the small
 /// `impact` and `stats` objects go through their tree encoders.
 pub fn write_response_body(response: &Response, out: &mut String) {
-    out.reserve(body_size_hint(response));
     out.push_str("{\"history\":");
     write_escaped(out, &response.history);
     out.push_str(",\"method\":");
@@ -629,26 +628,6 @@ pub fn write_response_body(response: &Response, out: &mut String) {
     out.push_str("],\"stats\":");
     encode_batch_stats(&response.stats).write_into(out);
     out.push('}');
-}
-
-/// A guess at the length of [`write_response_body`]'s output, from the
-/// deltas' tuple counts and arities, so a large body is written into one
-/// allocation instead of a doubling sequence of them. Only the capacity
-/// depends on it, never the bytes.
-fn body_size_hint(response: &Response) -> usize {
-    // Bytes per value with its comma, per tuple (its brackets and comma)
-    // and per scenario (names, keys, stats). Guessing high costs address
-    // space that is never written, not resident memory.
-    const VALUE: usize = 8;
-    const TUPLE: usize = 3;
-    const SCENARIO: usize = 256;
-    let tuples: usize = response
-        .scenarios
-        .iter()
-        .flat_map(|s| &s.answer.delta.relations)
-        .map(|r| r.len() * (r.schema.arity() * VALUE + TUPLE))
-        .sum();
-    1024 + response.scenarios.len() * SCENARIO + tuples
 }
 
 /// [`encode_delta`]'s bytes, written from the delta's tuples.

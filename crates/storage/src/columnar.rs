@@ -190,10 +190,16 @@ mod tests {
         assert_eq!(c.pool.len(), 3);
         assert!(c.matches_declared_types());
         assert_eq!(c.to_rows(), r);
-        for (i, col) in c.columns.iter().enumerate() {
-            let alone = Column::from_values(r.iter().map(|t| &t.values[i]), &mut StrPool::new())
-                .expect("homogeneous");
-            assert_eq!((col.vtype(), &col.valid), (alone.vtype(), &alone.valid));
+        // Each column's type is fixed by its first non-NULL value, and
+        // its validity bits mark the non-NULL rows.
+        let expected = [
+            (VType::Str, [true, true, true, false]),
+            (VType::Str, [false, false, true, true]),
+            (VType::Bool, [false, true, false, true]),
+        ];
+        for (col, (vtype, valid)) in c.columns.iter().zip(expected) {
+            assert_eq!(col.vtype(), vtype);
+            assert_eq!((0..4).map(|i| col.valid.get(i)).collect::<Vec<_>>(), valid);
         }
     }
 
